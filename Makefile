@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-self fuzz ci bench bench-diff stress chaos scenarios
+.PHONY: build test race vet lint lint-self fuzz ci bench bench-diff stress chaos scenarios perfbench
 
 build:
 	$(GO) build ./...
@@ -8,13 +8,15 @@ build:
 vet:
 	$(GO) vet ./...
 
+# LINTFLAGS passes flags to rls-lint, e.g. LINTFLAGS=-github for
+# GitHub Actions annotations.
 lint:
-	$(GO) run ./cmd/rls-lint ./...
+	$(GO) run ./cmd/rls-lint $(LINTFLAGS) ./...
 
 # The analysis suite held to its own standards: the checkers lint the
 # checker sources (fixtures under testdata are never loaded).
 lint-self:
-	$(GO) run ./cmd/rls-lint ./internal/analysis ./cmd/rls-lint
+	$(GO) run ./cmd/rls-lint $(LINTFLAGS) ./internal/analysis ./cmd/rls-lint
 
 test:
 	$(GO) test ./...
@@ -30,11 +32,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeResponse -fuzztime=10s -run '^$$' ./internal/wire
 
 # Repeated race-detector runs over the packages with real lock hierarchies
-# (per-table latches, group commit, connection handling, the client
+# (per-table latches, group commit and its Update batches, the catalog
+# writes batched through them, connection handling, the client
 # demultiplexer, the soft-state sender's circuit breakers) to shake out
 # schedule-dependent bugs.
 stress:
-	$(GO) test -race -count=5 ./internal/storage ./internal/server ./internal/client ./internal/lrc ./internal/membership
+	$(GO) test -race -count=5 ./internal/storage ./internal/rdb ./internal/server ./internal/client ./internal/lrc ./internal/membership
 
 # Short deterministic chaos profile: the standard workload generators run
 # under injected faults (partition, resets, drops) and the run asserts
@@ -62,7 +65,14 @@ scenarios:
 bench-diff:
 	$(GO) run ./cmd/rls-bench -diff .
 
-ci: build vet lint lint-self race fuzz stress chaos scenarios
+# The benchmark's own unit tests, then a short lrc-churn run as a
+# correctness smoke: its oracle checks every answer and reconciles the
+# catalog counts, and a wrong answer fails the run.
+perfbench:
+	cd perfbench && $(GO) test ./...
+	python3 perfbench/run.py --workload lrc-churn --seconds 2
+
+ci: build vet lint lint-self race fuzz stress chaos scenarios perfbench
 	-$(MAKE) bench-diff
 
 bench:

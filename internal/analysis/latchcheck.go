@@ -10,9 +10,10 @@ import (
 
 // LatchCheck proves the storage engine's declared-table-set invariant
 // statically: every table access through a transaction obtained from
-// Engine.Begin(tables...) — or a Reader passed to Engine.ViewTables(names,
-// fn) — must name a table in the declared set, so ErrTableNotDeclared can
-// never fire at runtime. The check is interprocedural:
+// Engine.Begin(tables...) — or handed to the closure of
+// Engine.Update(ctx, tables, fn) or Engine.UpdateEach(ctx, tables, n, fn) —
+// must name a table in the declared set, so ErrTableNotDeclared can never
+// fire at runtime. The check is interprocedural:
 //
 //   - the declared set is resolved by string-set dataflow (constants,
 //     []string literals, append chains, package-level table lists, locals,
@@ -20,8 +21,8 @@ import (
 //   - the Tx/Reader value is tracked through helper calls: a helper that
 //     receives the transaction is analyzed against the caller's declared
 //     set, with its own table-name parameters resolved across call sites;
-//   - Engine.View, ViewTables(nil, ...) and zero-argument Begin() latch
-//     every table and are exempt;
+//   - zero-argument Begin() and Update/UpdateEach with a nil table set
+//     latch every table and are exempt;
 //   - Engine.Snapshot() and Engine.SnapshotView(fn) hand out latch-free
 //     MVCC readers pinned to the last committed version. A snapshot sees
 //     every table that existed when it was taken and holds no latches, so
@@ -38,7 +39,7 @@ import (
 // or ignoring with a reason.
 type LatchCheck struct {
 	// EngineType is the engine's named type as "import/path.Name"; its
-	// Begin/View/ViewTables methods anchor the analysis. The engine's own
+	// Begin/Update/UpdateEach methods anchor the analysis. The engine's own
 	// package is exempt (it implements the latching).
 	EngineType string
 }
@@ -70,9 +71,9 @@ type latchChecker struct {
 	diags []Diagnostic
 }
 
-// bindSite describes one Begin/ViewTables binding for diagnostics.
+// bindSite describes one Begin/Update/UpdateEach binding for diagnostics.
 type bindSite struct {
-	kind     string // "Begin" or "ViewTables"
+	kind     string // "Begin", "Update" or "UpdateEach"
 	pos      string // short file:line
 	declared StrSet
 }
@@ -96,11 +97,13 @@ func (c LatchCheck) Check(prog *Program) []Diagnostic {
 			switch cs.Callee.Name() {
 			case "Begin":
 				lc.checkBegin(cs)
-			case "ViewTables":
-				lc.checkViewTables(cs)
-			case "Snapshot", "SnapshotView", "View":
-				// Latch-free snapshot readers (and the whole-engine View)
-				// see every table; there is no declared set to prove.
+			case "Update":
+				lc.checkUpdate(cs, 2)
+			case "UpdateEach":
+				lc.checkUpdate(cs, 3)
+			case "Snapshot", "SnapshotView":
+				// Latch-free snapshot readers see every table; there is
+				// no declared set to prove.
 			}
 		}
 	}
@@ -149,20 +152,23 @@ func (lc *latchChecker) checkBegin(cs *CallSite) {
 	lc.checkValueUses(cs.Caller, txVar, bind, nil)
 }
 
-// checkViewTables resolves the declared set and analyzes the reader
-// callback body (a function literal or a named function).
-func (lc *latchChecker) checkViewTables(cs *CallSite) {
-	if len(cs.Call.Args) != 2 {
+// checkUpdate resolves the declared set of an Update or UpdateEach call
+// (its second argument) and analyzes the closure at argument fnArg, whose
+// first parameter is the transaction: a function literal or a named
+// function.
+func (lc *latchChecker) checkUpdate(cs *CallSite, fnArg int) {
+	if len(cs.Call.Args) != fnArg+1 {
 		return
 	}
-	names, fn := cs.Call.Args[0], ast.Unparen(cs.Call.Args[1])
+	names, fn := cs.Call.Args[1], ast.Unparen(cs.Call.Args[fnArg])
 	if id, ok := ast.Unparen(names).(*ast.Ident); ok && id.Name == "nil" {
 		return // nil declares every table; nothing to prove
 	}
+	kind := cs.Callee.Name()
 	declared := lc.res.ResolveStringSlice(cs.Caller, names)
-	bind := bindSite{kind: "ViewTables", pos: lc.shortPos(cs.Call), declared: declared}
+	bind := bindSite{kind: kind, pos: lc.shortPos(cs.Call), declared: declared}
 	if declared.Dynamic {
-		lc.errf(cs.Caller, cs.Call, "cannot resolve the declared table set of ViewTables; declared-set invariant unproven (use string constants, or //lint:ignore latchcheck <reason>)")
+		lc.errf(cs.Caller, cs.Call, "cannot resolve the declared table set of %s; declared-set invariant unproven (use string constants, or //lint:ignore latchcheck <reason>)", kind)
 		return
 	}
 	switch body := fn.(type) {
@@ -171,24 +177,23 @@ func (lc *latchChecker) checkViewTables(cs *CallSite) {
 		if litNode == nil {
 			return
 		}
-		readerVar := firstParamVar(litNode)
-		if readerVar == nil {
+		txVar := firstParamVar(litNode)
+		if txVar == nil {
 			return
 		}
-		lc.checkValueUses(litNode, readerVar, bind, nil)
+		lc.checkValueUses(litNode, txVar, bind, nil)
+		return
 	case *ast.Ident:
 		if fnObj, ok := cs.Caller.Pkg.Info.Uses[body].(*types.Func); ok {
 			if fnNode, ok := lc.g.ByObj[fnObj]; ok {
-				if readerVar := firstParamVar(fnNode); readerVar != nil {
-					lc.checkValueUses(fnNode, readerVar, bind, nil)
+				if txVar := firstParamVar(fnNode); txVar != nil {
+					lc.checkValueUses(fnNode, txVar, bind, nil)
 					return
 				}
 			}
 		}
-		lc.errf(cs.Caller, fn, "ViewTables callback is not statically analyzable; declared-set invariant unproven")
-	default:
-		lc.errf(cs.Caller, fn, "ViewTables callback is not statically analyzable; declared-set invariant unproven")
 	}
+	lc.errf(cs.Caller, fn, "%s closure is not statically analyzable; declared-set invariant unproven", kind)
 }
 
 // litNode finds the FuncNode of a literal nested (at any depth) in owner.

@@ -2,7 +2,11 @@
 // latchcheck can detect.
 package latchbad
 
-import "fix/latchdb"
+import (
+	"context"
+
+	"fix/latchdb"
+)
 
 const (
 	tUsers  = "t_users"
@@ -75,10 +79,29 @@ func escapes(e *latchdb.Engine) error {
 	return nil
 }
 
-// A view callback touching a table outside the declared read set.
-func viewUndeclared(e *latchdb.Engine) error {
-	return e.ViewTables([]string{tUsers}, func(r *latchdb.Reader) error {
-		_, err := r.Count(tOrders) // want "touches undeclared table"
+// An Update closure touching a table outside the declared set.
+func updateUndeclared(ctx context.Context, e *latchdb.Engine) error {
+	return e.Update(ctx, []string{tUsers}, func(tx *latchdb.Tx) error {
+		_, err := tx.Insert(tOrders, nil) // want "touches undeclared table"
 		return err
 	})
+}
+
+// An UpdateEach closure whose violation hides in a helper.
+func updateEachUndeclaredViaHelper(ctx context.Context, e *latchdb.Engine, n int) []error {
+	return e.UpdateEach(ctx, []string{tUsers}, n, func(tx *latchdb.Tx, i int) error {
+		return insertOrder(tx)
+	})
+}
+
+// An Update whose declared set the dataflow cannot bound.
+func updateDynamicDeclared(ctx context.Context, e *latchdb.Engine, suffix string) error {
+	return e.Update(ctx, []string{"t_" + suffix}, func(tx *latchdb.Tx) error { // want "cannot resolve the declared table set of Update"
+		return nil
+	})
+}
+
+// An Update closure the analysis cannot see into.
+func updateOpaque(ctx context.Context, e *latchdb.Engine, fn func(tx *latchdb.Tx) error) error {
+	return e.Update(ctx, []string{tUsers}, fn) // want "Update closure is not statically analyzable"
 }

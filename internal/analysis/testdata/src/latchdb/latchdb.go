@@ -1,8 +1,10 @@
 // Package latchdb is a miniature mirror of the storage engine's latching
-// API, just enough surface for latchcheck fixtures: Begin declares a write
-// set, ViewTables a read set, and the Tx/Reader access methods take the
+// API, just enough surface for latchcheck fixtures: Begin, Update and
+// UpdateEach declare a write set, and the Tx/Reader access methods take the
 // table name first.
 package latchdb
+
+import "context"
 
 type Row []int
 
@@ -10,10 +12,18 @@ type Engine struct{}
 
 func (e *Engine) Begin(tables ...string) (*Tx, error) { return &Tx{}, nil }
 
-func (e *Engine) View(fn func(r *Reader) error) error { return e.ViewTables(nil, fn) }
+// Update and UpdateEach mirror the group-commit write path: the closure
+// receives a transaction over the declared tables.
+func (e *Engine) Update(ctx context.Context, tables []string, fn func(tx *Tx) error) error {
+	return fn(&Tx{})
+}
 
-func (e *Engine) ViewTables(names []string, fn func(r *Reader) error) error {
-	return fn(&Reader{})
+func (e *Engine) UpdateEach(ctx context.Context, tables []string, n int, fn func(tx *Tx, i int) error) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = fn(&Tx{}, i)
+	}
+	return errs
 }
 
 // Snapshot and SnapshotView mirror the MVCC read path: a latch-free pinned

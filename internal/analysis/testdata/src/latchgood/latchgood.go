@@ -1,11 +1,15 @@
 // Package latchgood exercises every pattern latchcheck must prove clean:
 // constant declared sets, package-level table lists spliced with append,
 // helpers that receive the transaction and table names as parameters,
-// range-over-struct-literal table tables, and the exempt whole-engine
-// forms.
+// range-over-struct-literal table tables, Update and UpdateEach closures,
+// and the exempt whole-engine forms.
 package latchgood
 
-import "fix/latchdb"
+import (
+	"context"
+
+	"fix/latchdb"
+)
 
 const (
 	tLFN = "t_lfn"
@@ -84,9 +88,10 @@ func tableFor(kind int) (string, bool) {
 	return "", false
 }
 
-// Read set over a range of struct literals carrying the table per entry.
-func viewSpecs(e *latchdb.Engine) error {
-	return e.ViewTables([]string{tPFN, tMap}, func(r *latchdb.Reader) error {
+// An Update closure ranging over struct literals that carry the table per
+// entry.
+func updateSpecs(ctx context.Context, e *latchdb.Engine) error {
+	return e.Update(ctx, []string{tPFN, tMap}, func(tx *latchdb.Tx) error {
 		for _, spec := range []struct {
 			table string
 			index string
@@ -94,7 +99,7 @@ func viewSpecs(e *latchdb.Engine) error {
 			{tPFN, "by_id"},
 			{tMap, "by_id"},
 		} {
-			if _, err := r.Lookup(spec.table, spec.index); err != nil {
+			if _, err := tx.Lookup(spec.table, spec.index); err != nil {
 				return err
 			}
 		}
@@ -102,8 +107,31 @@ func viewSpecs(e *latchdb.Engine) error {
 	})
 }
 
+// An UpdateEach closure over a package-level declared set, threading the
+// transaction through a helper.
+func updateEachViaHelper(ctx context.Context, e *latchdb.Engine, n int) []error {
+	return e.UpdateEach(ctx, extraTables, n, func(tx *latchdb.Tx, i int) error {
+		return deleteFrom(tx, tMap, int64(i))
+	})
+}
+
+func deleteFrom(tx *latchdb.Tx, table string, id int64) error {
+	_, err := tx.Delete(table, id)
+	return err
+}
+
+// A named function as the Update closure.
+func updateNamed(ctx context.Context, e *latchdb.Engine) error {
+	return e.Update(ctx, []string{tLFN}, insertLFN)
+}
+
+func insertLFN(tx *latchdb.Tx) error {
+	_, err := tx.Insert(tLFN, nil)
+	return err
+}
+
 // Whole-engine forms declare every table and are exempt.
-func wholeEngine(e *latchdb.Engine) error {
+func wholeEngine(ctx context.Context, e *latchdb.Engine) error {
 	tx, err := e.Begin()
 	if err != nil {
 		return err
@@ -114,8 +142,8 @@ func wholeEngine(e *latchdb.Engine) error {
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	return e.View(func(r *latchdb.Reader) error {
-		_, err := r.Count(tMap)
+	return e.Update(ctx, nil, func(tx *latchdb.Tx) error {
+		_, err := tx.Insert(tMap, nil)
 		return err
 	})
 }

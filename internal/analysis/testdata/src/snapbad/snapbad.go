@@ -1,10 +1,14 @@
 // Package snapbad proves the snapshot exemption does not blunt the
-// checker: snapshot reads sit right next to Begin/ViewTables violations,
+// checker: snapshot reads sit right next to Begin/Update violations,
 // and latchcheck must still report every latched-path violation while
 // staying silent about the snapshots.
 package snapbad
 
-import "fix/latchdb"
+import (
+	"context"
+
+	"fix/latchdb"
+)
 
 const (
 	tLFN = "t_lfn"
@@ -31,9 +35,9 @@ func snapshotThenUndeclaredWrite(e *latchdb.Engine) error {
 	return tx.Commit()
 }
 
-// A pinned snapshot with dynamic names (fine) beside a ViewTables callback
-// that reads outside its declared set (reported).
-func snapshotBesideBadView(e *latchdb.Engine, table string) error {
+// A pinned snapshot with dynamic names (fine) beside an Update closure that
+// writes outside its declared set (reported).
+func snapshotBesideBadUpdate(ctx context.Context, e *latchdb.Engine, table string) error {
 	snap, err := e.Snapshot()
 	if err != nil {
 		return err
@@ -42,8 +46,8 @@ func snapshotBesideBadView(e *latchdb.Engine, table string) error {
 	if _, err := snap.Count(table); err != nil {
 		return err
 	}
-	return e.ViewTables([]string{tLFN}, func(r *latchdb.Reader) error {
-		_, err := r.Count(tPFN) // want "undeclared table"
+	return e.Update(ctx, []string{tLFN}, func(tx *latchdb.Tx) error {
+		_, err := tx.Insert(tPFN, nil) // want "undeclared table"
 		return err
 	})
 }

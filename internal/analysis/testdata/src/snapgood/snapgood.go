@@ -5,7 +5,11 @@
 // to prove. None of these may produce a diagnostic.
 package snapgood
 
-import "fix/latchdb"
+import (
+	"context"
+
+	"fix/latchdb"
+)
 
 const tLFN = "t_lfn"
 
@@ -66,11 +70,11 @@ func countAll(r *latchdb.Reader, tables []string) error {
 	return nil
 }
 
-// Latched and latch-free reads side by side: the ViewTables callback is
-// still proven (and clean), the snapshot beside it is ignored.
-func mixedClean(e *latchdb.Engine) error {
-	if err := e.ViewTables([]string{tLFN}, func(r *latchdb.Reader) error {
-		_, err := r.Count(tLFN)
+// A latched write and a latch-free read side by side: the Update closure
+// is still proven (and clean), the snapshot beside it is ignored.
+func mixedClean(ctx context.Context, e *latchdb.Engine) error {
+	if err := e.Update(ctx, []string{tLFN}, func(tx *latchdb.Tx) error {
+		_, err := tx.Insert(tLFN, nil)
 		return err
 	}); err != nil {
 		return err

@@ -51,14 +51,16 @@ func (n *node) leaf() bool { return len(n.children) == 0 }
 
 // mutableFor returns a node owned by the given token that the caller may
 // mutate: n itself when already owned, otherwise a copy with fresh item and
-// child slices (the shared original stays frozen for clones).
+// child slices (the shared original stays frozen for clones). The copies get
+// one slot of spare capacity: a copy is made because a mutation follows, and
+// an insert — the common one — would otherwise reallocate the slice at once.
 func (n *node) mutableFor(c *cowToken) *node {
 	if n.cow == c {
 		return n
 	}
-	out := &node{cow: c, items: append(make([]item, 0, len(n.items)), n.items...)}
+	out := &node{cow: c, items: append(make([]item, 0, len(n.items)+1), n.items...)}
 	if len(n.children) > 0 {
-		out.children = append(make([]*node, 0, len(n.children)), n.children...)
+		out.children = append(make([]*node, 0, len(n.children)+1), n.children...)
 	}
 	return out
 }
@@ -165,9 +167,13 @@ func (n *node) splitChild(i int, c *cowToken) {
 	mid := maxItems / 2
 	median := child.items[mid]
 
-	right := &node{cow: c, items: append([]item(nil), child.items[mid+1:]...)}
+	// The right half is sized like a mutableFor copy: the insert that caused
+	// the split may land in it.
+	rightItems := child.items[mid+1:]
+	right := &node{cow: c, items: append(make([]item, 0, len(rightItems)+1), rightItems...)}
 	if !child.leaf() {
-		right.children = append([]*node(nil), child.children[mid+1:]...)
+		rightChildren := child.children[mid+1:]
+		right.children = append(make([]*node, 0, len(rightChildren)+1), rightChildren...)
 		child.children = child.children[:mid+1]
 	}
 	child.items = child.items[:mid]

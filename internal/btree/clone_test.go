@@ -194,3 +194,38 @@ func (t *Tree) checkInvariants(tb testing.TB) {
 	}
 	walk(t.root, true)
 }
+
+// cloneSink keeps the measured clones on the heap, as published ones are.
+var cloneSink *Tree
+
+// TestSetAfterCloneCopiesOnePath pins the copy-on-write cost of the first
+// write after a Clone — the write every commit pays after a version
+// publish: one node and one items slice per level, a children slice on every
+// level above the leaves, and the key copy. Copies made without spare
+// capacity fail it: the insert that follows reallocates the leaf's items.
+func TestSetAfterCloneCopiesOnePath(t *testing.T) {
+	var base Tree
+	fill(&base, 25000, "v")
+	key := []byte("key-012345x") // sorts between two existing keys
+	for n := base.root; n != nil; {
+		if len(n.items) == maxItems {
+			t.Fatalf("full node on the path of %q: the insert would split", key)
+		}
+		if n.leaf() {
+			break
+		}
+		i, _ := n.search(key)
+		n = n.children[i]
+	}
+	val := any("new")
+	cloneAllocs := testing.AllocsPerRun(100, func() { cloneSink = base.Clone() })
+	got := testing.AllocsPerRun(100, func() {
+		cloneSink = base.Clone()
+		cloneSink.Set(key, val)
+	})
+	d := base.depth()
+	budget := cloneAllocs + float64(3*(d-1)+2) + 1
+	if got > budget {
+		t.Fatalf("Clone+Set allocated %.0f times on a depth-%d tree, want at most %.0f", got, d, budget)
+	}
+}

@@ -158,6 +158,7 @@ type Node struct {
 	net      netsim.Profile
 	faults   *netsim.Faults
 	listener net.Listener
+	serving  chan struct{} // closed when the listener's Serve loop returns
 	dep      *Deployment
 }
 
@@ -399,10 +400,14 @@ func (d *Deployment) AddServer(spec ServerSpec) (*Node, error) {
 			return nil, err
 		}
 		node.listener = l
+		node.serving = make(chan struct{})
 		go func() {
-			// Serve returns nil on clean shutdown; anything else means the
-			// listener died under us and deserves a log line.
-			if err := srv.Serve(netsim.WrapListener(l, spec.Net)); err != nil {
+			defer close(node.serving)
+			// Serve returns nil when the server closed first and net.ErrClosed
+			// (through any netsim wrapping) when Deployment.Close closed the
+			// listener first: both are clean shutdowns. Anything else means
+			// the listener died under us and deserves a log line.
+			if err := srv.Serve(netsim.WrapListener(l, spec.Net)); err != nil && !errors.Is(err, net.ErrClosed) {
 				logger := spec.Logger
 				if logger == nil {
 					logger = slog.Default()
@@ -691,6 +696,7 @@ func (d *Deployment) Close() {
 	for _, n := range nodes {
 		if n.listener != nil {
 			n.listener.Close()
+			<-n.serving
 		}
 		n.Server.Close()
 		if n.LRC != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/auth"
 	"repro/internal/client"
 	"repro/internal/disk"
+	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
@@ -405,6 +408,58 @@ func TestTCPTransport(t *testing.T) {
 	targets, err := c.GetTargets(ctx, "lfn://tcp")
 	if err != nil || len(targets) != 1 {
 		t.Fatalf("over TCP: %v, %v", targets, err)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the concurrent writes of a
+// logger shared by goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestCloseLogsNoListenerFailure checks that a clean Deployment.Close of a
+// TCP node — its listener plain or netsim-shaped — logs nothing at Warn or
+// above: closing the listener is a shutdown, not a listener failure.
+func TestCloseLogsNoListenerFailure(t *testing.T) {
+	for _, p := range []netsim.Profile{netsim.Unshaped(), netsim.LAN()} {
+		t.Run(p.Name, func(t *testing.T) {
+			var logs lockedBuffer
+			d := NewDeployment()
+			spec := fastSpec("tcp-lrc", true, false)
+			spec.Listen = true
+			spec.Net = p
+			spec.Logger = slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
+			if _, err := d.AddServer(spec); err != nil {
+				d.Close()
+				t.Fatal(err)
+			}
+			c, err := d.DialTCP("tcp-lrc")
+			if err != nil {
+				d.Close()
+				t.Fatal(err)
+			}
+			if err := c.Ping(context.Background()); err != nil {
+				t.Error(err)
+			}
+			c.Close()
+			d.Close() // returns after the node's serve loop has
+			if out := logs.String(); out != "" {
+				t.Fatalf("clean close logged:\n%s", out)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/rdb"
+	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
@@ -12,55 +13,26 @@ import (
 // mutations that change the set of registered logical names, records the
 // change for the Bloom filter and the incremental-update buffer.
 //
-// The rdb layer itself has no context plumbing (its blocking comes from the
-// simulated disk, which has no cancellation point), so the ctx.Err() check
-// at each entry is the cancellation boundary: a cancelled context stops the
-// operation before it touches storage.
+// The ctx.Err() check at each entry is the cancellation boundary for the
+// rdb layer, whose single-item operations take no context: a cancelled
+// context stops the operation before it touches storage. Mapping writes
+// pass ctx on to the storage batch, whose durability wait honours it.
 
 // CreateMapping registers a new logical name with its first target.
 func (s *Service) CreateMapping(ctx context.Context, logical, target string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := s.checkOwner(logical); err != nil {
-		return err
-	}
-	if err := s.db.CreateMapping(logical, target); err != nil {
-		return err
-	}
-	s.noteLogicalAdded(ctx, logical)
-	return nil
+	return s.createMappings(ctx, []wire.Mapping{{Logical: logical, Target: target}})[0]
 }
 
 // AddMapping adds another target to an existing logical name. The set of
 // logical names is unchanged, so no soft-state delta is recorded.
 func (s *Service) AddMapping(ctx context.Context, logical, target string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := s.checkOwner(logical); err != nil {
-		return err
-	}
-	return s.db.AddMapping(logical, target)
+	return s.addMappings(ctx, []wire.Mapping{{Logical: logical, Target: target}})[0]
 }
 
 // DeleteMapping removes one mapping; if the logical name's last mapping is
 // gone the name itself is unregistered and the delta recorded.
 func (s *Service) DeleteMapping(ctx context.Context, logical, target string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := s.checkOwner(logical); err != nil {
-		return err
-	}
-	if err := s.db.DeleteMapping(logical, target); err != nil {
-		return err
-	}
-	// The logical name disappears only when no targets remain.
-	if _, err := s.db.GetTargets(logical); errors.Is(err, rdb.ErrNotFound) {
-		s.noteLogicalRemoved(ctx, logical)
-	}
-	return nil
+	return s.deleteMappings(ctx, []wire.Mapping{{Logical: logical, Target: target}})[0]
 }
 
 // BulkOutcome reports per-element failures of a bulk mutation.
@@ -84,13 +56,14 @@ func statusFor(err error) wire.Status {
 	}
 }
 
-// bulk runs fn for every mapping, collecting per-element failures — the
-// paper's bulk operations "aggregate multiple requests in a single packet to
-// reduce request overhead" and proceed past individual failures.
-func bulk(mappings []wire.Mapping, fn func(wire.Mapping) error) BulkOutcome {
+// outcome collects the per-element failures of a bulk mutation at their
+// request indices — the paper's bulk operations "aggregate multiple requests
+// in a single packet to reduce request overhead" and proceed past individual
+// failures.
+func outcome(errs []error) BulkOutcome {
 	var out BulkOutcome
-	for i, m := range mappings {
-		if err := fn(m); err != nil {
+	for i, err := range errs {
+		if err != nil {
 			out.Failures = append(out.Failures, wire.BulkFailure{
 				Index:  uint32(i),
 				Status: statusFor(err),
@@ -101,19 +74,74 @@ func bulk(mappings []wire.Mapping, fn func(wire.Mapping) error) BulkOutcome {
 	return out
 }
 
-// BulkCreate creates many mappings.
+// BulkCreate creates many mappings in one storage batch.
 func (s *Service) BulkCreate(ctx context.Context, mappings []wire.Mapping) BulkOutcome {
-	return bulk(mappings, func(m wire.Mapping) error { return s.CreateMapping(ctx, m.Logical, m.Target) })
+	return outcome(s.createMappings(ctx, mappings))
 }
 
-// BulkAdd adds many mappings.
+// BulkAdd adds many mappings in one storage batch.
 func (s *Service) BulkAdd(ctx context.Context, mappings []wire.Mapping) BulkOutcome {
-	return bulk(mappings, func(m wire.Mapping) error { return s.AddMapping(ctx, m.Logical, m.Target) })
+	return outcome(s.addMappings(ctx, mappings))
 }
 
-// BulkDelete deletes many mappings.
+// BulkDelete deletes many mappings in one storage batch.
 func (s *Service) BulkDelete(ctx context.Context, mappings []wire.Mapping) BulkOutcome {
-	return bulk(mappings, func(m wire.Mapping) error { return s.DeleteMapping(ctx, m.Logical, m.Target) })
+	return outcome(s.deleteMappings(ctx, mappings))
+}
+
+// owned splits a mapping write: errs holds one slot per mapping, already
+// filled for the mappings this LRC must refuse (cancelled ctx, another
+// shard's name); the rest are returned in order with their request indices.
+func (s *Service) owned(ctx context.Context, mappings []wire.Mapping) (errs []error, mine []wire.Mapping, idx []int) {
+	errs = make([]error, len(mappings))
+	if err := ctx.Err(); err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs, nil, nil
+	}
+	for i, m := range mappings {
+		if err := s.checkOwner(m.Logical); err != nil {
+			errs[i] = err
+			continue
+		}
+		mine = append(mine, m)
+		idx = append(idx, i)
+	}
+	return errs, mine, idx
+}
+
+func (s *Service) createMappings(ctx context.Context, mappings []wire.Mapping) []error {
+	errs, mine, idx := s.owned(ctx, mappings)
+	for j, err := range s.db.BulkCreate(ctx, mine) {
+		errs[idx[j]] = err
+		// A create whose durability went unconfirmed is still in the
+		// catalog, so soft state must carry it.
+		if err == nil || errors.Is(err, storage.ErrNotDurable) {
+			s.noteLogicalAdded(ctx, mine[j].Logical)
+		}
+	}
+	return errs
+}
+
+func (s *Service) addMappings(ctx context.Context, mappings []wire.Mapping) []error {
+	errs, mine, idx := s.owned(ctx, mappings)
+	for j, err := range s.db.BulkAdd(ctx, mine) {
+		errs[idx[j]] = err
+	}
+	return errs
+}
+
+func (s *Service) deleteMappings(ctx context.Context, mappings []wire.Mapping) []error {
+	errs, mine, idx := s.owned(ctx, mappings)
+	dbErrs, unregistered := s.db.BulkDelete(ctx, mine)
+	for j, err := range dbErrs {
+		errs[idx[j]] = err
+		if unregistered[j] { // set by the delete itself, whatever its durability
+			s.noteLogicalRemoved(ctx, mine[j].Logical)
+		}
+	}
+	return errs
 }
 
 // GetTargets returns the targets of a logical name.

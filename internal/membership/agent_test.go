@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -100,6 +101,9 @@ func newAgentFixture(t *testing.T, seeds map[string]*fakeSeed, self wire.MemberI
 	for url := range seeds {
 		urls = append(urls, url)
 	}
+	// The agent tries seeds in configured order; sorting keeps that order
+	// independent of map iteration (seed1 before seed2).
+	sort.Strings(urls)
 	a, err := NewAgent(AgentConfig{
 		Self:  self,
 		Seeds: urls,

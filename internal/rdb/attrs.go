@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -78,22 +79,17 @@ func (db *LRCDB) DefineAttribute(name string, obj wire.ObjType, typ wire.AttrTyp
 	if !typ.Valid() {
 		return fmt.Errorf("%w: attribute type %d", ErrInvalid, typ)
 	}
-	tx, err := db.eng.Begin(tAttribute)
-	if err != nil {
+	return db.eng.Update(context.Background(), []string{tAttribute}, func(tx *storage.Tx) error {
+		if rows, err := tx.Lookup(tAttribute, "by_name_obj", storage.String(name), storage.Int64(int64(obj))); err != nil {
+			return err
+		} else if len(rows) > 0 {
+			return fmt.Errorf("%w: attribute %q for %s objects", ErrExists, name, obj)
+		}
+		id := db.nextAttr.Add(1)
+		row := storage.Row{storage.Int64(id), storage.String(name), storage.Int64(int64(obj)), storage.Int64(int64(typ))}
+		_, err := tx.Insert(tAttribute, row)
 		return err
-	}
-	defer tx.Rollback()
-	if rows, err := tx.Lookup(tAttribute, "by_name_obj", storage.String(name), storage.Int64(int64(obj))); err != nil {
-		return err
-	} else if len(rows) > 0 {
-		return fmt.Errorf("%w: attribute %q for %s objects", ErrExists, name, obj)
-	}
-	id := db.nextAttr.Add(1)
-	row := storage.Row{storage.Int64(id), storage.String(name), storage.Int64(int64(obj)), storage.Int64(int64(typ))}
-	if _, err := tx.Insert(tAttribute, row); err != nil {
-		return err
-	}
-	return tx.Commit()
+	})
 }
 
 // lookupAttrDef finds an attribute definition, returning its id and type.
@@ -116,44 +112,41 @@ func lookupAttrDef(lk interface {
 func (db *LRCDB) UndefineAttribute(name string, obj wire.ObjType, clearValues bool) error {
 	// The typed value table is only known once the definition is read inside
 	// the transaction, so declare all of them up front.
-	tx, err := db.eng.Begin(append([]string{tAttribute}, attrValueTables...)...)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	attrID, typ, err := lookupAttrDef(tx, name, obj)
-	if err != nil {
-		return err
-	}
-	vt, err := attrValueTable(typ)
-	if err != nil {
-		return err
-	}
-	var valueRows []int64
-	if err := tx.ScanPrefix(vt, "by_attr", []storage.Value{storage.Int64(attrID)}, func(rowid int64, _ storage.Row) bool {
-		valueRows = append(valueRows, rowid)
-		return true
-	}); err != nil {
-		return err
-	}
-	if len(valueRows) > 0 && !clearValues {
-		return fmt.Errorf("%w: attribute %q still has %d values", ErrExists, name, len(valueRows))
-	}
-	for _, rowid := range valueRows {
-		if _, err := tx.Delete(vt, rowid); err != nil {
+	return db.eng.Update(context.Background(), append([]string{tAttribute}, attrValueTables...), func(tx *storage.Tx) error {
+		attrID, typ, err := lookupAttrDef(tx, name, obj)
+		if err != nil {
 			return err
 		}
-	}
-	defIDs, _, err := tx.LookupIDs(tAttribute, "by_name_obj", storage.String(name), storage.Int64(int64(obj)))
-	if err != nil {
-		return err
-	}
-	for _, rowid := range defIDs {
-		if _, err := tx.Delete(tAttribute, rowid); err != nil {
+		vt, err := attrValueTable(typ)
+		if err != nil {
 			return err
 		}
-	}
-	return tx.Commit()
+		var valueRows []int64
+		if err := tx.ScanPrefix(vt, "by_attr", []storage.Value{storage.Int64(attrID)}, func(rowid int64, _ storage.Row) bool {
+			valueRows = append(valueRows, rowid)
+			return true
+		}); err != nil {
+			return err
+		}
+		if len(valueRows) > 0 && !clearValues {
+			return fmt.Errorf("%w: attribute %q still has %d values", ErrExists, name, len(valueRows))
+		}
+		for _, rowid := range valueRows {
+			if _, err := tx.Delete(vt, rowid); err != nil {
+				return err
+			}
+		}
+		defIDs, _, err := tx.LookupIDs(tAttribute, "by_name_obj", storage.String(name), storage.Int64(int64(obj)))
+		if err != nil {
+			return err
+		}
+		for _, rowid := range defIDs {
+			if _, err := tx.Delete(tAttribute, rowid); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // resolveObjectID finds the id of the named object in the proper name table.
@@ -196,46 +189,41 @@ func (db *LRCDB) writeAttribute(key string, obj wire.ObjType, name string, value
 	if err != nil {
 		return err
 	}
-	tx, err := db.eng.Begin(tAttribute, objTable, vt)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	attrID, typ, err := lookupAttrDef(tx, name, obj)
-	if err != nil {
-		return err
-	}
-	if typ != value.Type {
-		return fmt.Errorf("%w: attribute %q is %s, value is %s", ErrInvalid, name, typ, value.Type)
-	}
-	objID, err := resolveObjectID(tx, obj, key)
-	if err != nil {
-		return err
-	}
-	existing, _, err := tx.LookupIDs(vt, "by_obj_attr", storage.Int64(objID), storage.Int64(attrID))
-	if err != nil {
-		return err
-	}
-	if len(existing) > 0 {
-		if !replace {
-			return fmt.Errorf("%w: attribute %q on %q", ErrExists, name, key)
+	return db.eng.Update(context.Background(), []string{tAttribute, objTable, vt}, func(tx *storage.Tx) error {
+		attrID, typ, err := lookupAttrDef(tx, name, obj)
+		if err != nil {
+			return err
 		}
-		for _, rowid := range existing {
-			if _, err := tx.Delete(vt, rowid); err != nil {
-				return err
+		if typ != value.Type {
+			return fmt.Errorf("%w: attribute %q is %s, value is %s", ErrInvalid, name, typ, value.Type)
+		}
+		objID, err := resolveObjectID(tx, obj, key)
+		if err != nil {
+			return err
+		}
+		existing, _, err := tx.LookupIDs(vt, "by_obj_attr", storage.Int64(objID), storage.Int64(attrID))
+		if err != nil {
+			return err
+		}
+		if len(existing) > 0 {
+			if !replace {
+				return fmt.Errorf("%w: attribute %q on %q", ErrExists, name, key)
 			}
+			for _, rowid := range existing {
+				if _, err := tx.Delete(vt, rowid); err != nil {
+					return err
+				}
+			}
+		} else if replace {
+			return fmt.Errorf("%w: attribute %q on %q", ErrNotFound, name, key)
 		}
-	} else if replace {
-		return fmt.Errorf("%w: attribute %q on %q", ErrNotFound, name, key)
-	}
-	sv, err := toStorageValue(value)
-	if err != nil {
+		sv, err := toStorageValue(value)
+		if err != nil {
+			return err
+		}
+		_, err = tx.Insert(vt, storage.Row{storage.Int64(objID), storage.Int64(attrID), sv})
 		return err
-	}
-	if _, err := tx.Insert(vt, storage.Row{storage.Int64(objID), storage.Int64(attrID), sv}); err != nil {
-		return err
-	}
-	return tx.Commit()
+	})
 }
 
 // RemoveAttribute detaches an attribute value from an object.
@@ -246,36 +234,33 @@ func (db *LRCDB) RemoveAttribute(key string, obj wire.ObjType, name string) erro
 	}
 	// The typed value table is only known once the definition is read inside
 	// the transaction, so declare all of them up front.
-	tx, err := db.eng.Begin(append([]string{tAttribute, objTable}, attrValueTables...)...)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	attrID, typ, err := lookupAttrDef(tx, name, obj)
-	if err != nil {
-		return err
-	}
-	objID, err := resolveObjectID(tx, obj, key)
-	if err != nil {
-		return err
-	}
-	vt, err := attrValueTable(typ)
-	if err != nil {
-		return err
-	}
-	rowids, _, err := tx.LookupIDs(vt, "by_obj_attr", storage.Int64(objID), storage.Int64(attrID))
-	if err != nil {
-		return err
-	}
-	if len(rowids) == 0 {
-		return fmt.Errorf("%w: attribute %q on %q", ErrNotFound, name, key)
-	}
-	for _, rowid := range rowids {
-		if _, err := tx.Delete(vt, rowid); err != nil {
+	return db.eng.Update(context.Background(), append([]string{tAttribute, objTable}, attrValueTables...), func(tx *storage.Tx) error {
+		attrID, typ, err := lookupAttrDef(tx, name, obj)
+		if err != nil {
 			return err
 		}
-	}
-	return tx.Commit()
+		objID, err := resolveObjectID(tx, obj, key)
+		if err != nil {
+			return err
+		}
+		vt, err := attrValueTable(typ)
+		if err != nil {
+			return err
+		}
+		rowids, _, err := tx.LookupIDs(vt, "by_obj_attr", storage.Int64(objID), storage.Int64(attrID))
+		if err != nil {
+			return err
+		}
+		if len(rowids) == 0 {
+			return fmt.Errorf("%w: attribute %q on %q", ErrNotFound, name, key)
+		}
+		for _, rowid := range rowids {
+			if _, err := tx.Delete(vt, rowid); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // GetAttributes returns the attribute values attached to an object,

@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -279,133 +280,150 @@ func (db *LRCDB) deleteNameRow(tx *storage.Tx, table string, id int64) error {
 	return nil
 }
 
+// mappingTables is the declared set of every mapping write. A delete may
+// cascade into the attribute value tables (deleteNameRow), so they are
+// declared with the name and mapping tables; creates and adds declare the
+// same set so that all mapping writes share one group-commit queue.
+var mappingTables = append([]string{tLFN, tPFN, tMap}, attrValueTables...)
+
 // CreateMapping registers a new logical name with its first target. It
 // fails with ErrExists if the logical name is already registered (use
 // AddMapping for additional targets).
 func (db *LRCDB) CreateMapping(logical, target string) error {
-	if logical == "" || target == "" {
-		return fmt.Errorf("%w: empty name", ErrInvalid)
-	}
-	tx, err := db.eng.Begin(tLFN, tPFN, tMap)
-	if err != nil {
+	return db.BulkCreate(context.Background(), []wire.Mapping{{Logical: logical, Target: target}})[0]
+}
+
+// BulkCreate creates every mapping as CreateMapping does, in one
+// group-committed storage batch; errs[i] is mapping i's outcome.
+func (db *LRCDB) BulkCreate(ctx context.Context, mappings []wire.Mapping) []error {
+	return db.eng.UpdateEach(ctx, mappingTables, len(mappings), func(tx *storage.Tx, i int) error {
+		logical, target := mappings[i].Logical, mappings[i].Target
+		if logical == "" || target == "" {
+			return fmt.Errorf("%w: empty name", ErrInvalid)
+		}
+		if rows, err := tx.Lookup(tLFN, "by_name", storage.String(logical)); err != nil {
+			return err
+		} else if len(rows) > 0 {
+			return fmt.Errorf("%w: logical name %q", ErrExists, logical)
+		}
+		lfnID := db.nextLFN.Add(1)
+		if _, err := tx.Insert(tLFN, storage.Row{storage.Int64(lfnID), storage.String(logical), storage.Int64(1)}); err != nil {
+			return err
+		}
+		pfnID, _, err := db.getOrCreateName(tx, tPFN, &db.nextPFN, target)
+		if err != nil {
+			return err
+		}
+		if _, err := tx.Insert(tMap, storage.Row{storage.Int64(lfnID), storage.Int64(pfnID)}); err != nil {
+			return err
+		}
+		_, err = db.adjustRef(tx, tPFN, pfnID, 1)
 		return err
-	}
-	defer tx.Rollback()
-	if rows, err := tx.Lookup(tLFN, "by_name", storage.String(logical)); err != nil {
-		return err
-	} else if len(rows) > 0 {
-		return fmt.Errorf("%w: logical name %q", ErrExists, logical)
-	}
-	lfnID := db.nextLFN.Add(1)
-	if _, err := tx.Insert(tLFN, storage.Row{storage.Int64(lfnID), storage.String(logical), storage.Int64(1)}); err != nil {
-		return err
-	}
-	pfnID, _, err := db.getOrCreateName(tx, tPFN, &db.nextPFN, target)
-	if err != nil {
-		return err
-	}
-	if _, err := tx.Insert(tMap, storage.Row{storage.Int64(lfnID), storage.Int64(pfnID)}); err != nil {
-		return err
-	}
-	if _, err := db.adjustRef(tx, tPFN, pfnID, 1); err != nil {
-		return err
-	}
-	return tx.Commit()
+	})
 }
 
 // AddMapping adds another target to an existing logical name. It fails with
 // ErrNotFound if the logical name is unregistered and ErrExists if the
 // mapping is already present.
 func (db *LRCDB) AddMapping(logical, target string) error {
-	if logical == "" || target == "" {
-		return fmt.Errorf("%w: empty name", ErrInvalid)
-	}
-	tx, err := db.eng.Begin(tLFN, tPFN, tMap)
-	if err != nil {
+	return db.BulkAdd(context.Background(), []wire.Mapping{{Logical: logical, Target: target}})[0]
+}
+
+// BulkAdd adds every mapping as AddMapping does, in one group-committed
+// storage batch; errs[i] is mapping i's outcome.
+func (db *LRCDB) BulkAdd(ctx context.Context, mappings []wire.Mapping) []error {
+	return db.eng.UpdateEach(ctx, mappingTables, len(mappings), func(tx *storage.Tx, i int) error {
+		logical, target := mappings[i].Logical, mappings[i].Target
+		if logical == "" || target == "" {
+			return fmt.Errorf("%w: empty name", ErrInvalid)
+		}
+		rows, err := tx.Lookup(tLFN, "by_name", storage.String(logical))
+		if err != nil {
+			return err
+		}
+		if len(rows) == 0 {
+			return fmt.Errorf("%w: logical name %q", ErrNotFound, logical)
+		}
+		lfnID := rows[0][colNameID].Int
+		pfnID, _, err := db.getOrCreateName(tx, tPFN, &db.nextPFN, target)
+		if err != nil {
+			return err
+		}
+		if rows, err := tx.Lookup(tMap, "by_pair", storage.Int64(lfnID), storage.Int64(pfnID)); err != nil {
+			return err
+		} else if len(rows) > 0 {
+			return fmt.Errorf("%w: mapping %q -> %q", ErrExists, logical, target)
+		}
+		if _, err := tx.Insert(tMap, storage.Row{storage.Int64(lfnID), storage.Int64(pfnID)}); err != nil {
+			return err
+		}
+		if _, err := db.adjustRef(tx, tLFN, lfnID, 1); err != nil {
+			return err
+		}
+		_, err = db.adjustRef(tx, tPFN, pfnID, 1)
 		return err
-	}
-	defer tx.Rollback()
-	rows, err := tx.Lookup(tLFN, "by_name", storage.String(logical))
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("%w: logical name %q", ErrNotFound, logical)
-	}
-	lfnID := rows[0][colNameID].Int
-	pfnID, _, err := db.getOrCreateName(tx, tPFN, &db.nextPFN, target)
-	if err != nil {
-		return err
-	}
-	if rows, err := tx.Lookup(tMap, "by_pair", storage.Int64(lfnID), storage.Int64(pfnID)); err != nil {
-		return err
-	} else if len(rows) > 0 {
-		return fmt.Errorf("%w: mapping %q -> %q", ErrExists, logical, target)
-	}
-	if _, err := tx.Insert(tMap, storage.Row{storage.Int64(lfnID), storage.Int64(pfnID)}); err != nil {
-		return err
-	}
-	if _, err := db.adjustRef(tx, tLFN, lfnID, 1); err != nil {
-		return err
-	}
-	if _, err := db.adjustRef(tx, tPFN, pfnID, 1); err != nil {
-		return err
-	}
-	return tx.Commit()
+	})
 }
 
 // DeleteMapping removes one mapping. Logical and target rows whose last
 // mapping disappears are deleted along with their attribute values.
 func (db *LRCDB) DeleteMapping(logical, target string) error {
-	// deleteNameRow may cascade into the attribute value tables, so they are
-	// declared up front alongside the name and mapping tables.
-	tables := append([]string{tLFN, tPFN, tMap}, attrValueTables...)
-	tx, err := db.eng.Begin(tables...)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	lfnRows, err := tx.Lookup(tLFN, "by_name", storage.String(logical))
-	if err != nil {
-		return err
-	}
-	pfnRows, err := tx.Lookup(tPFN, "by_name", storage.String(target))
-	if err != nil {
-		return err
-	}
-	if len(lfnRows) == 0 || len(pfnRows) == 0 {
-		return fmt.Errorf("%w: mapping %q -> %q", ErrNotFound, logical, target)
-	}
-	lfnID, pfnID := lfnRows[0][colNameID].Int, pfnRows[0][colNameID].Int
-	mapIDs, _, err := tx.LookupIDs(tMap, "by_pair", storage.Int64(lfnID), storage.Int64(pfnID))
-	if err != nil {
-		return err
-	}
-	if len(mapIDs) == 0 {
-		return fmt.Errorf("%w: mapping %q -> %q", ErrNotFound, logical, target)
-	}
-	if _, err := tx.Delete(tMap, mapIDs[0]); err != nil {
-		return err
-	}
-	newRef, err := db.adjustRef(tx, tLFN, lfnID, -1)
-	if err != nil {
-		return err
-	}
-	if newRef <= 0 {
-		if err := db.deleteNameRow(tx, tLFN, lfnID); err != nil {
+	errs, _ := db.BulkDelete(context.Background(), []wire.Mapping{{Logical: logical, Target: target}})
+	return errs[0]
+}
+
+// BulkDelete deletes every mapping as DeleteMapping does, in one
+// group-committed storage batch; errs[i] is mapping i's outcome, and
+// unregistered[i] reports that it removed its logical name's last mapping,
+// unregistering the name.
+func (db *LRCDB) BulkDelete(ctx context.Context, mappings []wire.Mapping) (errs []error, unregistered []bool) {
+	unregistered = make([]bool, len(mappings))
+	errs = db.eng.UpdateEach(ctx, mappingTables, len(mappings), func(tx *storage.Tx, i int) error {
+		logical, target := mappings[i].Logical, mappings[i].Target
+		lfnRows, err := tx.Lookup(tLFN, "by_name", storage.String(logical))
+		if err != nil {
 			return err
 		}
-	}
-	newRef, err = db.adjustRef(tx, tPFN, pfnID, -1)
-	if err != nil {
-		return err
-	}
-	if newRef <= 0 {
-		if err := db.deleteNameRow(tx, tPFN, pfnID); err != nil {
+		pfnRows, err := tx.Lookup(tPFN, "by_name", storage.String(target))
+		if err != nil {
 			return err
 		}
-	}
-	return tx.Commit()
+		if len(lfnRows) == 0 || len(pfnRows) == 0 {
+			return fmt.Errorf("%w: mapping %q -> %q", ErrNotFound, logical, target)
+		}
+		lfnID, pfnID := lfnRows[0][colNameID].Int, pfnRows[0][colNameID].Int
+		mapIDs, _, err := tx.LookupIDs(tMap, "by_pair", storage.Int64(lfnID), storage.Int64(pfnID))
+		if err != nil {
+			return err
+		}
+		if len(mapIDs) == 0 {
+			return fmt.Errorf("%w: mapping %q -> %q", ErrNotFound, logical, target)
+		}
+		if _, err := tx.Delete(tMap, mapIDs[0]); err != nil {
+			return err
+		}
+		newRef, err := db.adjustRef(tx, tLFN, lfnID, -1)
+		if err != nil {
+			return err
+		}
+		if newRef <= 0 {
+			if err := db.deleteNameRow(tx, tLFN, lfnID); err != nil {
+				return err
+			}
+		}
+		pfnRef, err := db.adjustRef(tx, tPFN, pfnID, -1)
+		if err != nil {
+			return err
+		}
+		if pfnRef <= 0 {
+			if err := db.deleteNameRow(tx, tPFN, pfnID); err != nil {
+				return err
+			}
+		}
+		unregistered[i] = newRef <= 0
+		return nil
+	})
+	return errs, unregistered
 }
 
 // GetTargets returns the target names mapped from a logical name. It reads a

@@ -1,8 +1,12 @@
 package rdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/disk"
@@ -522,5 +526,111 @@ func TestListAttributeDefs(t *testing.T) {
 	}
 	if _, err := db.ListAttributeDefs(wire.ObjType(99)); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("bad obj type = %v", err)
+	}
+}
+
+// TestConcurrentCreateDeleteReconciles races creates and deletes — single
+// and bulk — on a small set of overlapping names from many goroutines, so
+// that group-commit batches mix the two and hold failing items, then
+// reconciles the catalog against the reported outcomes: every name present
+// exactly when its successful creates outnumber its successful deletes, and
+// Counts equal to the sum. A concurrent reader checks that every snapshot
+// is consistent (one target and one mapping per registered name).
+func TestConcurrentCreateDeleteReconciles(t *testing.T) {
+	db := newTestLRC(t)
+	const (
+		names   = 24
+		workers = 8
+		ops     = 150
+	)
+	mapping := func(n int) wire.Mapping {
+		return wire.Mapping{Logical: fmt.Sprintf("lfn://n%02d", n), Target: fmt.Sprintf("pfn://n%02d", n)}
+	}
+	var net [names]atomic.Int64 // successful creates minus successful deletes
+	record := func(ms []int, errs []error, delta int64, wantErr error) {
+		for i, err := range errs {
+			switch {
+			case err == nil:
+				net[ms[i]].Add(delta)
+			case !errors.Is(err, wantErr):
+				t.Errorf("mapping %d: unexpected error %v", ms[i], err)
+			}
+		}
+	}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			logicals, targets, mappings, err := db.Counts()
+			if err != nil || logicals != targets || logicals != mappings {
+				t.Errorf("inconsistent snapshot: %d logicals, %d targets, %d mappings, %v", logicals, targets, mappings, err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for op := 0; op < ops; op++ {
+				batch := []int{rng.Intn(names)}
+				if rng.Intn(3) == 0 {
+					for len(batch) < 4 {
+						batch = append(batch, rng.Intn(names))
+					}
+				}
+				ms := make([]wire.Mapping, len(batch))
+				for i, n := range batch {
+					ms[i] = mapping(n)
+				}
+				switch {
+				case len(batch) == 1 && rng.Intn(2) == 0:
+					record(batch, []error{db.CreateMapping(ms[0].Logical, ms[0].Target)}, 1, ErrExists)
+				case len(batch) == 1:
+					record(batch, []error{db.DeleteMapping(ms[0].Logical, ms[0].Target)}, -1, ErrNotFound)
+				case rng.Intn(2) == 0:
+					record(batch, db.BulkCreate(context.Background(), ms), 1, ErrExists)
+				default:
+					errs, unregistered := db.BulkDelete(context.Background(), ms)
+					for i, err := range errs {
+						if (err == nil) != unregistered[i] {
+							t.Errorf("delete of %s: err %v but unregistered=%v", ms[i].Logical, err, unregistered[i])
+						}
+					}
+					record(batch, errs, -1, ErrNotFound)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	var want int64
+	for n := 0; n < names; n++ {
+		c := net[n].Load()
+		if c != 0 && c != 1 {
+			t.Fatalf("name %d: %d net successful creates, want 0 or 1", n, c)
+		}
+		want += c
+		got, err := db.GetTargets(mapping(n).Logical)
+		switch {
+		case c == 1 && (err != nil || len(got) != 1 || got[0] != mapping(n).Target):
+			t.Fatalf("name %d registered by the outcomes but GetTargets = %v, %v", n, got, err)
+		case c == 0 && !errors.Is(err, ErrNotFound):
+			t.Fatalf("name %d unregistered by the outcomes but GetTargets = %v, %v", n, got, err)
+		}
+	}
+	logicals, targets, mappings, err := db.Counts()
+	if err != nil || logicals != want || targets != want || mappings != want {
+		t.Fatalf("Counts = %d, %d, %d (%v), want %d each", logicals, targets, mappings, err, want)
 	}
 }

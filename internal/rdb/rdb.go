@@ -17,9 +17,11 @@
 //     receive Bloom filter updates store no database at all; see package
 //     rli.)
 //
-// Every public operation runs as one storage transaction, mirroring the
-// paper's observation that "each of these operations may correspond to
-// multiple SQL operations on database tables".
+// Every public write runs as one atomic closure of storage.Engine.Update,
+// mirroring the paper's observation that "each of these operations may
+// correspond to multiple SQL operations on database tables"; concurrent
+// writes on one table set, and the items of a bulk write, are group-committed
+// as one storage transaction. Reads run on latch-free snapshots.
 package rdb
 
 import "errors"

@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -25,6 +26,9 @@ const (
 	colRMapLRC  = 1
 	colRMapTime = 2
 )
+
+// rliTables is the declared set of the soft-state ingest writes.
+var rliTables = []string{tRLILFN, tLRC, tRLIMap}
 
 func rliSchemas() []storage.Schema {
 	return []storage.Schema{
@@ -121,81 +125,75 @@ func (db *RLIDB) UpsertNames(lrcURL string, names []string, now time.Time) error
 	if lrcURL == "" {
 		return fmt.Errorf("%w: empty LRC url", ErrInvalid)
 	}
-	tx, err := db.eng.Begin(tRLILFN, tLRC, tRLIMap)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	lrcID, err := db.getOrCreate(tx, tLRC, &db.nextLRC, lrcURL)
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if name == "" {
-			continue
-		}
-		lfnID, err := db.getOrCreate(tx, tRLILFN, &db.nextLFN, name)
+	return db.eng.Update(context.Background(), rliTables, func(tx *storage.Tx) error {
+		lrcID, err := db.getOrCreate(tx, tLRC, &db.nextLRC, lrcURL)
 		if err != nil {
 			return err
 		}
-		rowids, _, err := tx.LookupIDs(tRLIMap, "by_pair", storage.Int64(lfnID), storage.Int64(lrcID))
-		if err != nil {
-			return err
-		}
-		// Refresh = delete + reinsert with the new timestamp (an SQL
-		// UPDATE of updatetime).
-		for _, rowid := range rowids {
-			if _, err := tx.Delete(tRLIMap, rowid); err != nil {
+		for _, name := range names {
+			if name == "" {
+				continue
+			}
+			lfnID, err := db.getOrCreate(tx, tRLILFN, &db.nextLFN, name)
+			if err != nil {
+				return err
+			}
+			rowids, _, err := tx.LookupIDs(tRLIMap, "by_pair", storage.Int64(lfnID), storage.Int64(lrcID))
+			if err != nil {
+				return err
+			}
+			// Refresh = delete + reinsert with the new timestamp (an SQL
+			// UPDATE of updatetime).
+			for _, rowid := range rowids {
+				if _, err := tx.Delete(tRLIMap, rowid); err != nil {
+					return err
+				}
+			}
+			row := storage.Row{storage.Int64(lfnID), storage.Int64(lrcID), storage.Timestamp(now)}
+			if _, err := tx.Insert(tRLIMap, row); err != nil {
 				return err
 			}
 		}
-		row := storage.Row{storage.Int64(lfnID), storage.Int64(lrcID), storage.Timestamp(now)}
-		if _, err := tx.Insert(tRLIMap, row); err != nil {
-			return err
-		}
-	}
-	return tx.Commit()
+		return nil
+	})
 }
 
 // RemoveNames drops the {LFN, LRC} associations for the listed names — the
 // removed-half of incremental updates.
 func (db *RLIDB) RemoveNames(lrcURL string, names []string) error {
-	tx, err := db.eng.Begin(tRLILFN, tLRC, tRLIMap)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	lrcRows, err := tx.Lookup(tLRC, "by_name", storage.String(lrcURL))
-	if err != nil {
-		return err
-	}
-	if len(lrcRows) == 0 {
-		return tx.Commit() // nothing registered from this LRC
-	}
-	lrcID := lrcRows[0][colNameID].Int
-	for _, name := range names {
-		lfnRows, err := tx.Lookup(tRLILFN, "by_name", storage.String(name))
+	return db.eng.Update(context.Background(), rliTables, func(tx *storage.Tx) error {
+		lrcRows, err := tx.Lookup(tLRC, "by_name", storage.String(lrcURL))
 		if err != nil {
 			return err
 		}
-		if len(lfnRows) == 0 {
-			continue
+		if len(lrcRows) == 0 {
+			return nil // nothing registered from this LRC
 		}
-		lfnID := lfnRows[0][colNameID].Int
-		rowids, _, err := tx.LookupIDs(tRLIMap, "by_pair", storage.Int64(lfnID), storage.Int64(lrcID))
-		if err != nil {
-			return err
-		}
-		for _, rowid := range rowids {
-			if _, err := tx.Delete(tRLIMap, rowid); err != nil {
+		lrcID := lrcRows[0][colNameID].Int
+		for _, name := range names {
+			lfnRows, err := tx.Lookup(tRLILFN, "by_name", storage.String(name))
+			if err != nil {
+				return err
+			}
+			if len(lfnRows) == 0 {
+				continue
+			}
+			lfnID := lfnRows[0][colNameID].Int
+			rowids, _, err := tx.LookupIDs(tRLIMap, "by_pair", storage.Int64(lfnID), storage.Int64(lrcID))
+			if err != nil {
+				return err
+			}
+			for _, rowid := range rowids {
+				if _, err := tx.Delete(tRLIMap, rowid); err != nil {
+					return err
+				}
+			}
+			if err := db.cleanupLFN(tx, lfnID); err != nil {
 				return err
 			}
 		}
-		if err := db.cleanupLFN(tx, lfnID); err != nil {
-			return err
-		}
-	}
-	return tx.Commit()
+		return nil
+	})
 }
 
 // cleanupLFN removes an RLI t_lfn row once no associations reference it.
@@ -297,36 +295,34 @@ func (db *RLIDB) WildcardQuery(pattern string) ([]wire.Mapping, error) {
 // allowed timeout interval"). It returns the number of associations
 // dropped.
 func (db *RLIDB) ExpireBefore(cutoff time.Time) (int, error) {
-	tx, err := db.eng.Begin(tRLILFN, tRLIMap)
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Rollback()
 	type victim struct {
 		rowid int64
 		lfnID int64
 	}
 	var victims []victim
-	if err := tx.ScanPrefix(tRLIMap, "by_time", nil, func(rowid int64, row storage.Row) bool {
-		if !row[colRMapTime].Time.Before(cutoff) {
-			return false // time-ordered index: nothing older remains
+	err := db.eng.Update(context.Background(), []string{tRLILFN, tRLIMap}, func(tx *storage.Tx) error {
+		if err := tx.ScanPrefix(tRLIMap, "by_time", nil, func(rowid int64, row storage.Row) bool {
+			if !row[colRMapTime].Time.Before(cutoff) {
+				return false // time-ordered index: nothing older remains
+			}
+			victims = append(victims, victim{rowid: rowid, lfnID: row[colRMapLFN].Int})
+			return true
+		}); err != nil {
+			return err
 		}
-		victims = append(victims, victim{rowid: rowid, lfnID: row[colRMapLFN].Int})
-		return true
-	}); err != nil {
-		return 0, err
-	}
-	for _, v := range victims {
-		if _, err := tx.Delete(tRLIMap, v.rowid); err != nil {
-			return 0, err
+		for _, v := range victims {
+			if _, err := tx.Delete(tRLIMap, v.rowid); err != nil {
+				return err
+			}
 		}
-	}
-	for _, v := range victims {
-		if err := db.cleanupLFN(tx, v.lfnID); err != nil {
-			return 0, err
+		for _, v := range victims {
+			if err := db.cleanupLFN(tx, v.lfnID); err != nil {
+				return err
+			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
 	return len(victims), nil

@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/storage"
@@ -14,67 +15,61 @@ func (db *LRCDB) AddRLITarget(t wire.RLITarget) error {
 	if t.URL == "" {
 		return fmt.Errorf("%w: empty RLI url", ErrInvalid)
 	}
-	tx, err := db.eng.Begin(tRLI, tRLIPartition)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	if rows, err := tx.Lookup(tRLI, "by_name", storage.String(t.URL)); err != nil {
-		return err
-	} else if len(rows) > 0 {
-		return fmt.Errorf("%w: RLI %q", ErrExists, t.URL)
-	}
-	id := db.nextRLI.Add(1)
-	flags := int64(0)
-	if t.Bloom {
-		flags |= rliFlagBloom
-	}
-	if _, err := tx.Insert(tRLI, storage.Row{storage.Int64(id), storage.Int64(flags), storage.String(t.URL)}); err != nil {
-		return err
-	}
-	for _, p := range t.Patterns {
-		if p == "" {
-			return fmt.Errorf("%w: empty partition pattern", ErrInvalid)
+	return db.eng.Update(context.Background(), []string{tRLI, tRLIPartition}, func(tx *storage.Tx) error {
+		if rows, err := tx.Lookup(tRLI, "by_name", storage.String(t.URL)); err != nil {
+			return err
+		} else if len(rows) > 0 {
+			return fmt.Errorf("%w: RLI %q", ErrExists, t.URL)
 		}
-		if _, err := tx.Insert(tRLIPartition, storage.Row{storage.Int64(id), storage.String(p)}); err != nil {
+		id := db.nextRLI.Add(1)
+		flags := int64(0)
+		if t.Bloom {
+			flags |= rliFlagBloom
+		}
+		if _, err := tx.Insert(tRLI, storage.Row{storage.Int64(id), storage.Int64(flags), storage.String(t.URL)}); err != nil {
 			return err
 		}
-	}
-	return tx.Commit()
+		for _, p := range t.Patterns {
+			if p == "" {
+				return fmt.Errorf("%w: empty partition pattern", ErrInvalid)
+			}
+			if _, err := tx.Insert(tRLIPartition, storage.Row{storage.Int64(id), storage.String(p)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // RemoveRLITarget stops updating the given RLI and drops its partition
 // patterns.
 func (db *LRCDB) RemoveRLITarget(url string) error {
-	tx, err := db.eng.Begin(tRLI, tRLIPartition)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	rowids, rows, err := tx.LookupIDs(tRLI, "by_name", storage.String(url))
-	if err != nil {
-		return err
-	}
-	if len(rowids) == 0 {
-		return fmt.Errorf("%w: RLI %q", ErrNotFound, url)
-	}
-	id := rows[0][colRLIID].Int
-	if _, err := tx.Delete(tRLI, rowids[0]); err != nil {
-		return err
-	}
-	var parts []int64
-	if err := tx.ScanPrefix(tRLIPartition, "by_rli", []storage.Value{storage.Int64(id)}, func(rowid int64, _ storage.Row) bool {
-		parts = append(parts, rowid)
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, rowid := range parts {
-		if _, err := tx.Delete(tRLIPartition, rowid); err != nil {
+	return db.eng.Update(context.Background(), []string{tRLI, tRLIPartition}, func(tx *storage.Tx) error {
+		rowids, rows, err := tx.LookupIDs(tRLI, "by_name", storage.String(url))
+		if err != nil {
 			return err
 		}
-	}
-	return tx.Commit()
+		if len(rowids) == 0 {
+			return fmt.Errorf("%w: RLI %q", ErrNotFound, url)
+		}
+		id := rows[0][colRLIID].Int
+		if _, err := tx.Delete(tRLI, rowids[0]); err != nil {
+			return err
+		}
+		var parts []int64
+		if err := tx.ScanPrefix(tRLIPartition, "by_rli", []storage.Value{storage.Int64(id)}, func(rowid int64, _ storage.Row) bool {
+			parts = append(parts, rowid)
+			return true
+		}); err != nil {
+			return err
+		}
+		for _, rowid := range parts {
+			if _, err := tx.Delete(tRLIPartition, rowid); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // ListRLITargets returns the RLIs this LRC updates.

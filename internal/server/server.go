@@ -223,7 +223,10 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		s.wg.Add(1)
+		if !s.track() {
+			_ = raw.Close() // closed meanwhile: the next Accept fails
+			continue
+		}
 		go func() {
 			defer s.wg.Done()
 			s.handleConn(raw)
@@ -234,9 +237,25 @@ func (s *Server) Serve(l net.Listener) error {
 // ServeConn handles a single pre-established connection (in-process
 // transports); it blocks until the connection closes.
 func (s *Server) ServeConn(raw net.Conn) {
-	s.wg.Add(1)
+	if !s.track() {
+		_ = raw.Close()
+		return
+	}
 	defer s.wg.Done()
 	s.handleConn(raw)
+}
+
+// track counts a new connection handler in s.wg, or reports false once the
+// server is closed. The check and the Add share s.mu with Close's setting
+// of closed, so no Add can race the Wait that Close starts afterwards.
+func (s *Server) track() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.wg.Add(1)
+	return true
 }
 
 // Close stops accepting, closes active connections and waits for handlers.

@@ -65,50 +65,6 @@ func BenchmarkTxInsertParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkViewParallel runs point lookups from many goroutines against one
-// table. Views take only shared latches, so readers should not contend.
-func BenchmarkViewParallel(b *testing.B) {
-	e, names := benchEngine(b, 1)
-	tbl := names[0]
-	const rows = 1000
-	tx, err := e.Begin(tbl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
-		if _, err := tx.Insert(tbl, Row{Int64(int64(i)), String(fmt.Sprintf("n-%d", i))}); err != nil {
-			tx.Rollback()
-			b.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	var gid atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := gid.Add(1)
-		read := []string{tbl}
-		for pb.Next() {
-			i++
-			err := e.ViewTables(read, func(r *Reader) error {
-				got, err := r.Lookup(tbl, "by_id", Int64(i%rows))
-				if err != nil {
-					return err
-				}
-				if len(got) != 1 {
-					return fmt.Errorf("lookup returned %d rows", len(got))
-				}
-				return nil
-			})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
 // BenchmarkGroupCommitFlushOn commits flush-on transactions from many
 // goroutines against a device with a real (small) sync latency. Group commit
 // lets concurrent committers share one sync, so the measured per-commit cost

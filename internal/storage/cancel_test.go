@@ -87,8 +87,8 @@ func TestCommitCtxFollowerCancellation(t *testing.T) {
 	}
 
 	// Let simulated time flow: the leader finishes its batch, then drains
-	// the abandoned follower's batch (its buffered channel absorbs the
-	// outcome nobody is waiting for).
+	// the abandoned follower's batch (its outcome is published to a batch
+	// handle nobody is waiting on).
 	stop := make(chan struct{})
 	defer close(stop)
 	go pumpClock(fc, stop)
@@ -109,7 +109,7 @@ func TestCommitCtxFollowerCancellation(t *testing.T) {
 
 	// The cancelled follower's mutation was logged and applied — it rode the
 	// leader's sync; only its durability confirmation was abandoned.
-	err := e.ViewTables([]string{"t_b"}, func(r *Reader) error {
+	err := e.SnapshotView(func(r *Reader) error {
 		n, err := r.Count("t_b")
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -57,7 +58,7 @@ func TestParallelDisjointTables(t *testing.T) {
 		}
 	}
 	for _, tbl := range names {
-		err := e.ViewTables([]string{tbl}, func(r *Reader) error {
+		err := e.SnapshotView(func(r *Reader) error {
 			n, err := r.Count(tbl)
 			if err != nil {
 				return err
@@ -99,9 +100,21 @@ func TestUndeclaredTableRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = e.ViewTables([]string{"t_a"}, func(r *Reader) error {
-		if _, err := r.Lookup("t_b", "by_id", Int64(1)); !errors.Is(err, ErrTableNotDeclared) {
-			return fmt.Errorf("undeclared lookup: err = %v, want ErrTableNotDeclared", err)
+	// An Update closure is held to its declared set the same way, and the
+	// failed closure leaves nothing behind.
+	err = e.Update(context.Background(), []string{"t_a"}, func(tx *Tx) error {
+		if _, err := tx.Insert("t_a", Row{Int64(2), String("y")}); err != nil {
+			return err
+		}
+		_, err := tx.Insert("t_b", Row{Int64(2), String("y")})
+		return err
+	})
+	if !errors.Is(err, ErrTableNotDeclared) {
+		t.Fatalf("undeclared insert in Update: err = %v, want ErrTableNotDeclared", err)
+	}
+	err = e.SnapshotView(func(r *Reader) error {
+		if n, err := r.Count("t_a"); err != nil || n != 1 {
+			return fmt.Errorf("t_a count = %d, %v; want 1", n, err)
 		}
 		if _, err := r.Count("t_missing"); !errors.Is(err, ErrNoSuchTable) {
 			return fmt.Errorf("missing-table count: err = %v, want ErrNoSuchTable", err)
@@ -282,7 +295,7 @@ func TestConcurrentCommitsSurviveReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer e2.Close()
-	err = e2.ViewTables([]string{"t_cr"}, func(r *Reader) error {
+	err = e2.SnapshotView(func(r *Reader) error {
 		n, err := r.Count("t_cr")
 		if err != nil {
 			return err

@@ -74,17 +74,18 @@ func (o Options) withDefaults() Options {
 // lifetime while table DDL and Close hold it exclusive — and the inner level
 // is one latch per table, acquired for the declared table set in sorted name
 // order, so transactions on disjoint tables run in parallel and no
-// acquisition order can deadlock. Commit durability is amortized across
-// concurrent writers by WAL group commit (see wal.commitAppend).
+// acquisition order can deadlock. Update batches concurrent writers on one
+// table set into a single transaction (see update.go), and commit durability
+// is amortized across concurrent commits by WAL group commit (see
+// wal.commitAppend).
 //
 // The read side is MVCC: every commit publishes an immutable copy-on-write
 // version of the tables it touched (see mvcc.go), and Snapshot() pins the
-// last published version without taking any latch. Latched reads
-// (View/ViewTables) remain available for read-your-latched-writes, but the
-// query paths, Bloom rebuilds and soft-state dumps all read snapshots, so
-// they never contend with writers — and Checkpoint and Vacuum no longer stop
-// the world: Checkpoint serializes a pinned version while commits proceed,
-// and Vacuum prunes one table under its write latch only.
+// last published version without taking any latch. Readers — the query
+// paths, Bloom rebuilds and soft-state dumps — never contend with writers,
+// and Checkpoint and Vacuum do not stop the world: Checkpoint serializes a
+// pinned version while commits proceed, and Vacuum prunes one table under
+// its write latch only.
 type Engine struct {
 	opts Options
 	dir  string // "" for memory-only
@@ -111,6 +112,11 @@ type Engine struct {
 	snapshotsTaken    atomic.Int64
 	versionsPublished atomic.Int64
 	closedFlag        atomic.Bool
+
+	// queues holds one group-commit queue per declared table set (see
+	// update.go).
+	queuesMu sync.Mutex
+	queues   map[string]*updateQueue
 
 	// ckptMu serializes checkpoints (they run mostly outside the global
 	// latch); ckptSeq numbers rotated WAL segments, mutated under both.
@@ -139,6 +145,7 @@ func OpenMemory(opts Options) *Engine {
 		byID:   make(map[uint32]*table),
 		wal:    newWAL(nil, 0, o.Device),
 		pins:   make(map[uint64]pinEntry),
+		queues: make(map[string]*updateQueue),
 	}
 	e.current.Store(&engineVersion{epoch: 1, taken: o.Clock.Now(), tables: map[string]tview{}})
 	e.flushOnCommit.Store(opts.FlushOnCommit)
@@ -162,6 +169,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 		tables: make(map[string]*table),
 		byID:   make(map[uint32]*table),
 		pins:   make(map[uint64]pinEntry),
+		queues: make(map[string]*updateQueue),
 	}
 	e.current.Store(&engineVersion{tables: map[string]tview{}})
 	if err := e.loadSnapshot(); err != nil {
@@ -301,9 +309,15 @@ var ErrNoSuchIndex = errors.New("storage: no such index")
 // ErrClosed is returned when using a closed engine.
 var ErrClosed = errors.New("storage: engine is closed")
 
-// ErrTableNotDeclared is returned when a transaction or view touches a table
-// it did not declare at Begin/ViewTables time. Latches are acquired up front
-// in sorted order; touching undeclared tables lazily could deadlock.
+// ErrNotDurable wraps the error of a commit whose mutations were applied and
+// published — readers see them — but whose durability was not confirmed: the
+// WAL write or sync failed, or the committer's context ended while it waited
+// for the group-commit sync.
+var ErrNotDurable = errors.New("storage: committed but durability not confirmed")
+
+// ErrTableNotDeclared is returned when a transaction touches a table it did
+// not declare at Begin or Update. Latches are acquired up front in sorted
+// order; touching undeclared tables lazily could deadlock.
 var ErrTableNotDeclared = errors.New("storage: table not declared at Begin")
 
 // CreateTable adds a table. It is an error if one with the same name exists.
@@ -348,7 +362,7 @@ func (e *Engine) afterMutation() error {
 // keeps concurrent transactions deadlock-free. The caller holds the global
 // latch shared; the table map only changes under the exclusive global latch,
 // so reading it here is race-free. On error no latches remain held.
-func (e *Engine) lockTables(names []string, write bool) (map[string]*table, []*table, error) {
+func (e *Engine) lockTables(names []string) (map[string]*table, []*table, error) {
 	if len(names) == 0 {
 		names = make([]string, 0, len(e.tables))
 		for name := range e.tables {
@@ -366,10 +380,10 @@ func (e *Engine) lockTables(names []string, write bool) (map[string]*table, []*t
 		}
 		t, ok := e.tables[name]
 		if !ok {
-			unlockTables(latched, write)
+			unlockTables(latched)
 			return nil, nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 		}
-		t.lockLatch(write)
+		t.lockLatch()
 		declared[name] = t
 		latched = append(latched, t)
 	}
@@ -378,13 +392,9 @@ func (e *Engine) lockTables(names []string, write bool) (map[string]*table, []*t
 
 // unlockTables releases latches taken by lockTables. Release order is
 // irrelevant for deadlock freedom; only acquisition order matters.
-func unlockTables(latched []*table, write bool) {
+func unlockTables(latched []*table) {
 	for _, t := range latched {
-		if write {
-			t.latch.Unlock()
-		} else {
-			t.latch.RUnlock()
-		}
+		t.latch.Unlock()
 	}
 }
 
@@ -400,42 +410,13 @@ func (e *Engine) Begin(tableNames ...string) (*Tx, error) {
 		e.global.RUnlock()
 		return nil, ErrClosed
 	}
-	declared, latched, err := e.lockTables(tableNames, true)
+	declared, latched, err := e.lockTables(tableNames)
 	if err != nil {
 		e.global.RUnlock()
 		return nil, err
 	}
 	//lint:ignore lockcheck the shared global latch is handed to the Tx and released by Commit or Rollback
 	return &Tx{e: e, tables: declared, latched: latched}, nil
-}
-
-// View runs fn under read latches on every table. Prefer SnapshotView for
-// pure reads: it returns the same Reader API without taking any latch.
-func (e *Engine) View(fn func(r *Reader) error) error {
-	return e.ViewTables(nil, fn)
-}
-
-// ViewTables runs fn with read latches on just the named tables (every table
-// when names is nil), so readers of one table never wait behind writers of
-// another. fn must only touch the declared tables. Latched views observe the
-// live state — including a concurrent writer's effects once it commits
-// between two calls — whereas SnapshotView freezes one version.
-func (e *Engine) ViewTables(names []string, fn func(r *Reader) error) error {
-	e.global.RLock()
-	defer e.global.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	declared, latched, err := e.lockTables(names, false)
-	if err != nil {
-		return err
-	}
-	defer unlockTables(latched, false)
-	views := make(map[string]tview, len(declared))
-	for name, t := range declared {
-		views[name] = t.mutView()
-	}
-	return fn(&Reader{e: e, views: views, all: len(names) == 0})
 }
 
 // Vacuum physically reclaims tombstoned rows in the named table. It runs
@@ -456,7 +437,7 @@ func (e *Engine) Vacuum(tableName string) (reclaimed int64, err error) {
 		e.global.RUnlock()
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, tableName)
 	}
-	t.lockLatch(true)
+	t.lockLatch()
 	heapSize := t.heap.Len()
 	reclaimed = t.vacuumLocked()
 	frame := walEncode(walRecord{kind: recVacuum, tableID: t.id})

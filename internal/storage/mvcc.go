@@ -95,7 +95,7 @@ func (e *Engine) Snapshot() (*Snap, error) {
 	e.pinMu.Unlock()
 	e.snapshotsTaken.Add(1)
 	return &Snap{
-		Reader: Reader{e: e, views: ev.tables, all: true, snapshot: true},
+		Reader: Reader{views: ev.tables},
 		e:      e,
 		epoch:  ev.epoch,
 	}, nil
@@ -138,9 +138,8 @@ func (s *Snap) Close() {
 }
 
 // SnapshotView runs fn with a latch-free reader over the last committed
-// version — the drop-in replacement for ViewTables on read paths that do not
-// need read-your-latched-writes. fn may touch any table; it observes the
-// frozen version regardless of concurrent commits.
+// version. fn may touch any table; it observes the frozen version regardless
+// of concurrent commits.
 func (e *Engine) SnapshotView(fn func(r *Reader) error) error {
 	s, err := e.Snapshot()
 	if err != nil {

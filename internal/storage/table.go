@@ -61,12 +61,12 @@ type table struct {
 	schema Schema
 	dev    *disk.Device // charged for dead-version visits (postgres bloat)
 
-	// latch is the table's lock: transactions write-latch and views
-	// read-latch the tables they declare, always in sorted name order (see
-	// Engine.lockTables), so writers on disjoint tables never contend.
-	// Snapshot readers hold no latch at all: they read published tviews.
-	// The *Locked methods below all require it (or the exclusive global
-	// latch, which subsumes it).
+	// latch is the table's lock: transactions write-latch the tables they
+	// declare, always in sorted name order (see Engine.lockTables), so
+	// writers on disjoint tables never contend. Readers hold no latch at
+	// all: they read published tviews. The *Locked methods below all
+	// require it (or the exclusive global latch, which subsumes it); Stats
+	// read-latches it for the occupancy counters.
 	latch       sync.RWMutex
 	latchWaits  atomic.Int64 // acquisitions that had to block
 	latchWaitNS atomic.Int64 // total nanoseconds spent blocked on the latch
@@ -107,22 +107,15 @@ func (t *table) cloneView() tview {
 	return tview{t: t, heap: t.heap.Clone(), trees: trees, dead: t.dead}
 }
 
-// lockLatch acquires the table latch, recording wait telemetry only when the
-// acquisition actually blocks so the uncontended fast path stays clock-free.
-func (t *table) lockLatch(write bool) {
-	if write {
-		if t.latch.TryLock() {
-			return
-		}
-	} else if t.latch.TryRLock() {
+// lockLatch write-acquires the table latch, recording wait telemetry only
+// when the acquisition actually blocks so the uncontended fast path stays
+// clock-free.
+func (t *table) lockLatch() {
+	if t.latch.TryLock() {
 		return
 	}
 	start := time.Now()
-	if write {
-		t.latch.Lock()
-	} else {
-		t.latch.RLock()
-	}
+	t.latch.Lock()
 	t.latchWaits.Add(1)
 	t.latchWaitNS.Add(time.Since(start).Nanoseconds())
 	//lint:ignore lockcheck the latch is handed to the caller and released by unlockTables

@@ -42,7 +42,12 @@ type Tx struct {
 	latched []*table
 	ops     []txOp
 	done    bool
+	update  bool // owned by an Update batch, which commits it
 }
+
+// errUpdateOwnsTx is returned when an Update closure tries to finish the
+// transaction it was handed: the batch commits it once, for every closure.
+var errUpdateOwnsTx = errors.New("storage: Update commits its transaction; closures must not Commit or Rollback")
 
 func (tx *Tx) table(name string) (*table, error) {
 	if tx.done {
@@ -74,7 +79,7 @@ func (tx *Tx) index(name, indexName string) (*table, *index, error) {
 
 // release drops the table latches and the shared global latch.
 func (tx *Tx) release() {
-	unlockTables(tx.latched, true)
+	unlockTables(tx.latched)
 	tx.e.global.RUnlock()
 }
 
@@ -155,13 +160,36 @@ func (tx *Tx) Commit() error {
 // applied (it rides the leader's sync like any batch member); only the
 // confirmation is abandoned.
 func (tx *Tx) CommitCtx(ctx context.Context) error {
+	if tx.update {
+		return errUpdateOwnsTx
+	}
+	n, g, lead, err := tx.commit()
+	if err != nil {
+		return err
+	}
+	tx.e.opts.Device.Write(n)
+	if g == nil {
+		return nil
+	}
+	if lead {
+		tx.e.wal.lead()
+	}
+	return g.wait(ctx)
+}
+
+// commit logs, publishes and releases the transaction. It returns the
+// frame's size, for the caller to charge as a device write once it no
+// longer blocks anyone, and under FlushOnCommit the group-commit batch the
+// frame joined; when lead is true the caller must run that batch's sync
+// (wal.lead) before anyone can wait on it.
+func (tx *Tx) commit() (n int, g *groupSync, lead bool, err error) {
 	if tx.done {
-		return ErrTxDone
+		return 0, nil, false, ErrTxDone
 	}
 	tx.done = true
 	if len(tx.ops) == 0 {
 		tx.release()
-		return nil
+		return 0, nil, false, nil
 	}
 	bp := framePool.Get().(*[]byte)
 	frame := (*bp)[:0]
@@ -174,8 +202,8 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 		}
 	}
 	frame = appendWALRecord(frame, walRecord{kind: recCommit})
-	n := len(frame)
-	wait, err := tx.e.wal.commitAppend(frame, tx.e.flushOnCommit.Load())
+	n = len(frame)
+	g, lead, err = tx.e.wal.commitAppend(frame, tx.e.flushOnCommit.Load())
 	*bp = frame
 	framePool.Put(bp)
 	// Publish a new immutable version of every touched table while the write
@@ -192,25 +220,31 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 	tx.e.publish(updates)
 	tx.release()
 	if err != nil {
-		return err
+		return 0, nil, false, fmt.Errorf("%w: %w", ErrNotDurable, err)
 	}
-	tx.e.opts.Device.Write(n)
-	if wait != nil {
-		return wait(ctx)
-	}
-	return nil
+	return n, g, lead, nil
 }
 
 // Rollback undoes the transaction and releases the latches. Nothing is
 // published: the reversed mutations were never visible outside the
 // transaction.
 func (tx *Tx) Rollback() error {
+	if tx.update {
+		return errUpdateOwnsTx
+	}
 	if tx.done {
 		return ErrTxDone
 	}
 	tx.done = true
 	defer tx.release()
-	for i := len(tx.ops) - 1; i >= 0; i-- {
+	tx.rollbackTo(0)
+	return nil
+}
+
+// rollbackTo undoes the mutations logged after the first mark ops, newest
+// first, and forgets them: the savepoint rollback of one Update closure.
+func (tx *Tx) rollbackTo(mark int) {
+	for i := len(tx.ops) - 1; i >= mark; i-- {
 		op := tx.ops[i]
 		switch op.kind {
 		case txInsert:
@@ -219,36 +253,19 @@ func (tx *Tx) Rollback() error {
 			op.table.undeleteLocked(op.rowid, op.row, tx.e.opts.Personality)
 		}
 	}
-	return nil
+	tx.ops = tx.ops[:mark]
 }
 
-// Reader is the read-only accessor passed to Engine.View, Engine.ViewTables
-// and Engine.SnapshotView, and embedded in Snap. A latched reader (View /
-// ViewTables) sees only its declared tables' live state under read latches; a
-// snapshot reader sees every table of one frozen published version and holds
-// no latches at all.
+// Reader is the read-only accessor passed to Engine.SnapshotView and
+// embedded in Snap: every table of one frozen published version, read
+// without any latch.
 type Reader struct {
-	e     *Engine
 	views map[string]tview
-	// all means the reader sees every table (nil-declared view or snapshot)
-	// rather than a declared subset.
-	all bool
-	// snapshot means views is an immutable published version and the engine's
-	// table map must not be consulted (no latch protects it here).
-	snapshot bool
 }
 
 func (r *Reader) view(name string) (tview, error) {
 	v, ok := r.views[name]
 	if !ok {
-		if !r.snapshot && !r.all {
-			// Declared latched view: the shared global latch is held, so the
-			// table map is safe to read to distinguish "not declared" from
-			// "no such table".
-			if _, exists := r.e.tables[name]; exists {
-				return tview{}, fmt.Errorf("%w: %s", ErrTableNotDeclared, name)
-			}
-		}
 		return tview{}, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
 	return v, nil

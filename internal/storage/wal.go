@@ -397,11 +397,11 @@ type wal struct {
 	dev *disk.Device // charged one sync per group-commit batch; may be nil
 
 	mu      sync.Mutex
-	idle    sync.Cond    // signalled when the group-commit leader goes idle
-	size    int64        // guarded by mu, like every field below
-	dirty   bool         // frames appended but not yet synced (background-flush mode)
-	syncing bool         // a group-commit leader is draining batches
-	waiters []chan error // committers in the forming batch
+	idle    sync.Cond  // signalled when the group-commit leader goes idle
+	size    int64      // guarded by mu, like every field below
+	dirty   bool       // frames appended but not yet synced (background-flush mode)
+	syncing bool       // a group-commit leader is draining batches
+	forming *groupSync // the batch committers are joining, nil when empty
 
 	appends      int64
 	syncs        int64
@@ -453,86 +453,95 @@ func (w *wal) append(frame []byte) error {
 	return w.appendLocked(frame)
 }
 
+// groupSync is one group-commit batch's durability outcome. Every committer
+// in the batch holds it; the leader records err and closes done once the
+// batch's sync has finished, so any number of committers can wait on it.
+type groupSync struct {
+	done chan struct{}
+	err  error // written before done is closed
+	n    int   // commits in the batch; guarded by wal.mu until the batch is taken
+}
+
+// wait blocks until the batch's sync finished or ctx is done. A finished
+// sync wins over a cancelled context, so a committer whose durability is
+// confirmed never reports failure; a committer that stops waiting gets
+// ctx.Err(), never success, since its durability was not confirmed. Either
+// failure wraps ErrNotDurable.
+func (g *groupSync) wait(ctx context.Context) error {
+	select {
+	case <-g.done:
+	default:
+		select {
+		case <-g.done:
+		case <-ctx.Done():
+			return fmt.Errorf("%w: %w", ErrNotDurable, ctx.Err())
+		}
+	}
+	if g.err != nil {
+		return fmt.Errorf("%w: %w", ErrNotDurable, g.err)
+	}
+	return nil
+}
+
 // commitAppend appends one committed transaction's frame and applies the
 // durability policy. The caller still holds its table latches, which is what
 // keeps the log's append order consistent with the commit order on every
 // table (replay correctness).
 //
 // With flush false, the frame just marks the log dirty for the background
-// flusher and wait is nil. With flush true, the committer joins the forming
-// group-commit batch and gets back a wait function to invoke *after*
-// releasing its latches: the first committer to arrive while no sync is in
-// flight becomes the batch leader and pays one file sync plus one device
-// sync on behalf of every committer that joined meanwhile; the rest just
-// wait for their leader's outcome. FlushOnCommit thus costs one device sync
-// per batch instead of per transaction.
+// flusher and g is nil. With flush true, the committer joins the forming
+// group-commit batch g, to wait on *after* releasing its latches. The first
+// committer to arrive while no sync is in flight is the batch leader (lead
+// is true) and must call lead, which pays one file sync plus one device sync
+// on behalf of every committer that joined meanwhile. FlushOnCommit thus
+// costs one device sync per batch instead of per transaction.
 //
-// The wait function honours its context, with an asymmetry: a follower whose
-// context is cancelled stops waiting and reports ctx.Err() — never success,
-// since its durability was not confirmed — while its buffered channel still
-// receives the leader's outcome later, so an abandoned follower cannot
-// strand the batch. The leader ignores cancellation: it owns the batch's
-// sync, and every follower is waiting on it to finish.
-func (w *wal) commitAppend(frame []byte, flush bool) (wait func(ctx context.Context) error, err error) {
+// The leader ignores cancellation: it owns the batch's sync, and every other
+// committer is waiting on it to finish. A follower may stop waiting when its
+// context ends (groupSync.wait); the batch completes without it.
+func (w *wal) commitAppend(frame []byte, flush bool) (g *groupSync, lead bool, err error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if err := w.appendLocked(frame); err != nil {
-		w.mu.Unlock()
-		return nil, err
+		return nil, false, err
 	}
 	if !flush {
 		w.dirty = true
-		w.mu.Unlock()
-		return nil, nil
+		return nil, false, nil
 	}
-	ch := make(chan error, 1)
-	w.waiters = append(w.waiters, ch)
+	if w.forming == nil {
+		w.forming = &groupSync{done: make(chan struct{})}
+	}
+	w.forming.n++
 	w.gcCommits++
-	leader := !w.syncing
-	if leader {
-		w.syncing = true
-	}
-	w.mu.Unlock()
-	if leader {
-		return func(context.Context) error {
-			w.lead()
-			return <-ch // already delivered: lead() completed this batch
-		}, nil
-	}
-	return func(ctx context.Context) error {
-		select {
-		case err := <-ch:
-			return err
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}, nil
+	lead = !w.syncing
+	w.syncing = true
+	return w.forming, lead, nil
 }
 
 // lead drains group-commit batches until no committers are waiting. Each
-// round takes the current waiter set as one batch, pays one file sync and
-// one device sync for all of them, and delivers the outcome; committers
-// arriving during those syncs form the next batch.
+// round takes the forming batch, pays one file sync and one device sync for
+// all of its committers, and publishes the outcome; committers arriving
+// during those syncs form the next batch.
 func (w *wal) lead() {
 	w.mu.Lock()
-	for len(w.waiters) > 0 {
-		batch := w.waiters
-		w.waiters = nil
+	for w.forming != nil {
+		batch := w.forming
+		w.forming = nil
 		w.dirty = false // the sync below covers earlier unflushed frames too
 		w.syncs++
 		w.gcBatches++
-		w.gcSyncsAvoided += int64(len(batch) - 1)
-		if n := int64(len(batch)); n > w.gcMaxBatch {
+		w.gcSyncsAvoided += int64(batch.n - 1)
+		if n := int64(batch.n); n > w.gcMaxBatch {
 			w.gcMaxBatch = n
 		}
-		w.gcBatchSizes[gcBucket(len(batch))]++
+		w.gcBatchSizes[gcBucket(batch.n)]++
 		w.mu.Unlock()
-		err := w.fsync()
+		batch.err = w.fsync()
 		if w.dev != nil {
 			w.dev.Sync()
 		}
-		for _, ch := range batch {
-			ch <- err
-		}
+		close(batch.done)
 		w.mu.Lock()
 	}
 	w.syncing = false
