@@ -72,9 +72,12 @@ perfbench:
 	cd perfbench && $(GO) test ./...
 	python3 perfbench/run.py --workload lrc-churn --seconds 2
 
-ci: build vet lint lint-self race fuzz stress chaos scenarios perfbench
+ci: build vet lint lint-self race fuzz stress chaos scenarios perfbench bench
 	-$(MAKE) bench-diff
 
+# Every benchmark of the paper experiments, the storage engine and the B-tree,
+# run once: a smoke that keeps them compiling and running. Measure with a
+# real -benchtime, e.g. `go test -bench SnapshotAfterWrite -benchtime 20000x
+# ./internal/storage`.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -bench . -benchtime 100x -run '^$$' ./internal/storage
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/storage ./internal/btree

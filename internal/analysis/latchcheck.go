@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"strings"
@@ -28,7 +29,14 @@ import (
 //     every table that existed when it was taken and holds no latches, so
 //     there is no declared set to prove: snapshot readers are exempt, even
 //     with dynamic table names (a missing table is ErrNoSuchTable, never
-//     ErrTableNotDeclared).
+//     ErrTableNotDeclared);
+//   - the first snapshot after a write latches the tables written since to
+//     publish a version, so a Snapshot or SnapshotView made while the same
+//     goroutine holds a transaction may wait forever on its own latches.
+//     A snapshot call — direct, or through statically resolved helpers —
+//     inside an Update or UpdateEach closure, or between Begin and the
+//     transaction's last Commit or Rollback, is reported. Calls in
+//     goroutines spawned there run apart from the latch holder and are not.
 //
 // Anything the dataflow cannot bound — a dynamic table name, a declared
 // set built at runtime, a transaction escaping into a channel or field —
@@ -69,6 +77,11 @@ type latchChecker struct {
 	g     *CallGraph
 	res   *strResolver
 	diags []Diagnostic
+
+	enginePkg, engineName string
+	// snaps marks the declared functions that may take a snapshot on their
+	// own goroutine; built on first use.
+	snaps map[*FuncNode]bool
 }
 
 // bindSite describes one Begin/Update/UpdateEach binding for diagnostics.
@@ -84,23 +97,30 @@ func (c LatchCheck) Check(prog *Program) []Diagnostic {
 	if !ok {
 		return nil
 	}
-	lc := &latchChecker{g: prog.CallGraph(), res: newStrResolver(prog.CallGraph())}
+	lc := &latchChecker{
+		g:          prog.CallGraph(),
+		res:        newStrResolver(prog.CallGraph()),
+		enginePkg:  enginePkg,
+		engineName: engineName,
+	}
 	for _, node := range lc.g.Nodes {
 		if node.Pkg.Path == enginePkg {
 			continue
 		}
 		for _, cs := range node.Calls {
-			if cs.Callee == nil || recvTypeString(cs.Callee) != engineName ||
-				pkgPathOf(cs.Callee) != enginePkg {
+			if !lc.isEngineMethod(cs.Callee) {
 				continue
 			}
 			switch cs.Callee.Name() {
 			case "Begin":
 				lc.checkBegin(cs)
+				lc.checkHeldSnapshots(lc.beginSpan(cs), "transaction from Begin at "+lc.shortPos(cs.Call))
 			case "Update":
 				lc.checkUpdate(cs, 2)
+				lc.checkClosureSnapshots(cs, 2)
 			case "UpdateEach":
 				lc.checkUpdate(cs, 3)
+				lc.checkClosureSnapshots(cs, 3)
 			case "Snapshot", "SnapshotView":
 				// Latch-free snapshot readers see every table; there is
 				// no declared set to prove.
@@ -108,6 +128,131 @@ func (c LatchCheck) Check(prog *Program) []Diagnostic {
 		}
 	}
 	return lc.diags
+}
+
+// isEngineMethod reports whether fn is a method of the engine type.
+func (lc *latchChecker) isEngineMethod(fn *types.Func) bool {
+	return fn != nil && recvTypeString(fn) == lc.engineName && pkgPathOf(fn) == lc.enginePkg
+}
+
+// isSnapshotCall reports whether the call is Engine.Snapshot or
+// Engine.SnapshotView.
+func (lc *latchChecker) isSnapshotCall(cs *CallSite) bool {
+	return lc.isEngineMethod(cs.Callee) && (cs.Callee.Name() == "Snapshot" || cs.Callee.Name() == "SnapshotView")
+}
+
+// heldCalls returns the call sites that run on node's goroutine: its own
+// and those of nested literals, except literals spawned with go.
+func heldCalls(node *FuncNode) []*CallSite {
+	spawned := make(map[*FuncNode]bool)
+	for _, gs := range node.GoSpawns {
+		if gs.Lit != nil {
+			spawned[gs.Lit] = true
+		}
+	}
+	out := append([]*CallSite(nil), node.Calls...)
+	for _, l := range node.Lits {
+		if !spawned[l] {
+			out = append(out, heldCalls(l)...)
+		}
+	}
+	return out
+}
+
+// snapshotTakers marks every declared function outside the engine package
+// that may take a snapshot on its own goroutine, directly or through
+// statically resolved helpers.
+func (lc *latchChecker) snapshotTakers() map[*FuncNode]bool {
+	if lc.snaps != nil {
+		return lc.snaps
+	}
+	has := make(map[*FuncNode]bool)
+	for changed := true; changed; {
+		changed = false
+		for _, n := range lc.g.Nodes {
+			if n.Obj == nil || has[n] || n.Pkg.Path == lc.enginePkg {
+				continue
+			}
+			for _, cs := range heldCalls(n) {
+				if lc.isSnapshotCall(cs) || (cs.Callee != nil && has[lc.g.ByObj[cs.Callee]]) {
+					has[n] = true
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	lc.snaps = has
+	return has
+}
+
+// checkHeldSnapshots reports every call in calls that takes a snapshot,
+// directly or through a helper, while holder holds table latches.
+func (lc *latchChecker) checkHeldSnapshots(calls []*CallSite, holder string) {
+	takers := lc.snapshotTakers()
+	for _, cs := range calls {
+		switch {
+		case lc.isSnapshotCall(cs):
+			lc.errf(cs.Caller, cs.Call, "%s called while the %s holds table latches: a snapshot after a write latches the tables written since to publish, and would wait forever on these (take it before or after)", cs.Callee.Name(), holder)
+		case cs.Callee != nil && takers[lc.g.ByObj[cs.Callee]]:
+			lc.errf(cs.Caller, cs.Call, "%s takes an engine snapshot, called while the %s holds table latches: a snapshot after a write latches the tables written since to publish, and would wait forever on these (take it before or after)", cs.Callee.Name(), holder)
+		}
+	}
+}
+
+// checkClosureSnapshots checks the closure of an Update or UpdateEach call
+// for snapshots taken while the batch holds its latches.
+func (lc *latchChecker) checkClosureSnapshots(cs *CallSite, fnArg int) {
+	if len(cs.Call.Args) != fnArg+1 {
+		return
+	}
+	if body := lc.closureNode(cs, fnArg); body != nil {
+		lc.checkHeldSnapshots(heldCalls(body), cs.Callee.Name()+" closure at "+lc.shortPos(cs.Call))
+	}
+}
+
+// beginSpan returns the calls the caller of a Begin makes while the
+// transaction holds its latches: those after Begin up to the transaction's
+// last Commit, CommitCtx or Rollback that is not deferred — to the end of
+// the function when there is none, or when the transaction is not bound to
+// a local variable.
+func (lc *latchChecker) beginSpan(cs *CallSite) []*CallSite {
+	node := cs.Caller
+	start, end := cs.Call.End(), node.Body.End()
+	if txVar := lc.assignedVar(node, cs.Call); txVar != nil {
+		deferred := make(map[*ast.CallExpr]bool)
+		inspectOwnBody(node, func(n ast.Node) bool {
+			if d, ok := n.(*ast.DeferStmt); ok {
+				deferred[d.Call] = true
+			}
+			return true
+		})
+		last := token.NoPos
+		for _, c := range node.Calls {
+			sel, ok := ast.Unparen(c.Call.Fun).(*ast.SelectorExpr)
+			if !ok || deferred[c.Call] || c.Call.Pos() < start {
+				continue
+			}
+			switch sel.Sel.Name {
+			case "Commit", "CommitCtx", "Rollback":
+			default:
+				continue
+			}
+			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && usesVar(node, id, txVar) && c.Call.Pos() > last {
+				last = c.Call.Pos()
+			}
+		}
+		if last.IsValid() {
+			end = last
+		}
+	}
+	var out []*CallSite
+	for _, c := range heldCalls(node) {
+		if c.Call.Pos() >= start && c.Call.Pos() < end {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func (lc *latchChecker) errf(node *FuncNode, pos ast.Node, format string, args ...any) {
@@ -171,29 +316,32 @@ func (lc *latchChecker) checkUpdate(cs *CallSite, fnArg int) {
 		lc.errf(cs.Caller, cs.Call, "cannot resolve the declared table set of %s; declared-set invariant unproven (use string constants, or //lint:ignore latchcheck <reason>)", kind)
 		return
 	}
-	switch body := fn.(type) {
-	case *ast.FuncLit:
-		litNode := lc.litNode(cs.Caller, body)
-		if litNode == nil {
-			return
-		}
-		txVar := firstParamVar(litNode)
-		if txVar == nil {
-			return
-		}
-		lc.checkValueUses(litNode, txVar, bind, nil)
+	body := lc.closureNode(cs, fnArg)
+	if _, lit := fn.(*ast.FuncLit); lit && (body == nil || firstParamVar(body) == nil) {
 		return
-	case *ast.Ident:
-		if fnObj, ok := cs.Caller.Pkg.Info.Uses[body].(*types.Func); ok {
-			if fnNode, ok := lc.g.ByObj[fnObj]; ok {
-				if txVar := firstParamVar(fnNode); txVar != nil {
-					lc.checkValueUses(fnNode, txVar, bind, nil)
-					return
-				}
-			}
+	}
+	if body != nil {
+		if txVar := firstParamVar(body); txVar != nil {
+			lc.checkValueUses(body, txVar, bind, nil)
+			return
 		}
 	}
 	lc.errf(cs.Caller, fn, "%s closure is not statically analyzable; declared-set invariant unproven", kind)
+}
+
+// closureNode returns the body of the closure at argument fnArg of an
+// Update or UpdateEach call — a function literal or a named function — or
+// nil when it is not statically known.
+func (lc *latchChecker) closureNode(cs *CallSite, fnArg int) *FuncNode {
+	switch fn := ast.Unparen(cs.Call.Args[fnArg]).(type) {
+	case *ast.FuncLit:
+		return lc.litNode(cs.Caller, fn)
+	case *ast.Ident:
+		if fnObj, ok := cs.Caller.Pkg.Info.Uses[fn].(*types.Func); ok {
+			return lc.g.ByObj[fnObj]
+		}
+	}
+	return nil
 }
 
 // litNode finds the FuncNode of a literal nested (at any depth) in owner.

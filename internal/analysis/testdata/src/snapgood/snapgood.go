@@ -84,3 +84,58 @@ func mixedClean(ctx context.Context, e *latchdb.Engine) error {
 		return err
 	})
 }
+
+// Snapshots before Begin and after the transaction's last Commit, beside a
+// deferred Rollback: the transaction holds no latches at either.
+func snapshotsAroundTx(e *latchdb.Engine) error {
+	before, err := e.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer before.Close()
+	tx, err := e.Begin(tLFN)
+	if err != nil {
+		return err
+	}
+	defer tx.Rollback()
+	if _, err := tx.Insert(tLFN, nil); err != nil {
+		return err
+	}
+	if err := tx.Commit(); err != nil {
+		return err
+	}
+	return e.SnapshotView(func(r *latchdb.Reader) error {
+		_, err := r.Count(tLFN)
+		return err
+	})
+}
+
+// A snapshot pinned before Update, read inside the closure: pinning took
+// no latch, so reading it under the batch's latches is fine.
+func pinnedBeforeUpdate(ctx context.Context, e *latchdb.Engine) error {
+	snap, err := e.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer snap.Close()
+	return e.Update(ctx, []string{tLFN}, func(tx *latchdb.Tx) error {
+		n, err := snap.Count(tLFN)
+		if err != nil || n > 0 {
+			return err
+		}
+		_, err = tx.Insert(tLFN, nil)
+		return err
+	})
+}
+
+// A snapshot in a goroutine spawned from a closure runs apart from the
+// latch holder.
+func snapshotInSpawned(ctx context.Context, e *latchdb.Engine, done chan<- error) error {
+	return e.Update(ctx, []string{tLFN}, func(tx *latchdb.Tx) error {
+		go func() {
+			done <- e.SnapshotView(func(r *latchdb.Reader) error { return nil })
+		}()
+		_, err := tx.Insert(tLFN, nil)
+		return err
+	})
+}

@@ -18,7 +18,10 @@
 // readers of a clone never race writers of the tree it was cloned from.
 package btree
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // degree is the minimum number of children of an internal node. Nodes hold
 // between degree-1 and 2*degree-1 items. 32 keeps nodes around two cache
@@ -147,11 +150,11 @@ func (t *Tree) Set(key []byte, value any) (prev any, replaced bool) {
 		t.size = 1
 		return nil, false
 	}
-	t.root = t.root.mutableFor(t.cow)
 	if len(t.root.items) == maxItems {
-		old := t.root
-		t.root = &node{cow: t.cow, children: []*node{old}}
+		t.root = &node{cow: t.cow, children: []*node{t.root}}
 		t.root.splitChild(0, t.cow)
+	} else {
+		t.root = t.root.mutableFor(t.cow)
 	}
 	prev, replaced = t.root.insert(key, value, t.cow)
 	if !replaced {
@@ -161,22 +164,25 @@ func (t *Tree) Set(key []byte, value any) (prev any, replaced bool) {
 }
 
 // splitChild splits the full child at index i, promoting its median item.
-// n must be owned by c; the child is made mutable first.
+// n must be owned by c. The left half is always a fresh node sized like a
+// mutableFor copy. The right half keeps the child's own arrays when c owns
+// the child: under ascending keys (rowids, sequential names) the right half
+// is the one that keeps growing, so it keeps the larger array, and a left
+// half nothing is inserted into again wastes no capacity. A child shared
+// with a clone must stay frozen, so then the right half is a fresh copy too.
 func (n *node) splitChild(i int, c *cowToken) {
-	child := n.mutableChild(i, c)
+	child := n.children[i]
 	mid := maxItems / 2
 	median := child.items[mid]
-
-	// The right half is sized like a mutableFor copy: the insert that caused
-	// the split may land in it.
-	rightItems := child.items[mid+1:]
-	right := &node{cow: c, items: append(make([]item, 0, len(rightItems)+1), rightItems...)}
-	if !child.leaf() {
-		rightChildren := child.children[mid+1:]
-		right.children = append(make([]*node, 0, len(rightChildren)+1), rightChildren...)
-		child.children = child.children[:mid+1]
+	left, right := child.slice(0, mid, c), child
+	if child.cow == c {
+		right.items = slices.Delete(right.items, 0, mid+1)
+		if !right.leaf() {
+			right.children = slices.Delete(right.children, 0, mid+1)
+		}
+	} else {
+		right = child.slice(mid+1, len(child.items), c)
 	}
-	child.items = child.items[:mid]
 
 	n.items = append(n.items, item{})
 	copy(n.items[i+1:], n.items[i:])
@@ -184,7 +190,18 @@ func (n *node) splitChild(i int, c *cowToken) {
 
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
+	n.children[i] = left
 	n.children[i+1] = right
+}
+
+// slice returns a new node owned by c holding items[lo:hi] and, for an
+// internal node, the children between them, with one slot of spare capacity.
+func (n *node) slice(lo, hi int, c *cowToken) *node {
+	out := &node{cow: c, items: append(make([]item, 0, hi-lo+1), n.items[lo:hi]...)}
+	if !n.leaf() {
+		out.children = append(make([]*node, 0, hi-lo+2), n.children[lo:hi+1]...)
+	}
+	return out
 }
 
 // insert descends from an owned node, making each visited child mutable.
@@ -246,7 +263,7 @@ func (n *node) remove(key []byte, c *cowToken) (any, bool) {
 			return nil, false
 		}
 		v := n.items[i].value
-		n.items = append(n.items[:i], n.items[i+1:]...)
+		n.items = slices.Delete(n.items, i, i+1)
 		return v, true
 	}
 	if ok {
@@ -293,23 +310,24 @@ func (n *node) ensureChild(i int, c *cowToken) {
 		child.items = append(child.items, item{})
 		copy(child.items[1:], child.items)
 		child.items[0] = n.items[i-1]
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
+		last := len(left.items) - 1
+		n.items[i-1] = left.items[last]
+		left.items = slices.Delete(left.items, last, last+1)
 		if !child.leaf() {
 			child.children = append(child.children, nil)
 			copy(child.children[1:], child.children)
-			child.children[0] = left.children[len(left.children)-1]
-			left.children = left.children[:len(left.children)-1]
+			child.children[0] = left.children[last+1]
+			left.children = slices.Delete(left.children, last+1, last+2)
 		}
 	case i < len(n.children)-1 && len(n.children[i+1].items) > minItems:
 		// Borrow from the right sibling through the separator.
 		child, right := n.mutableChild(i, c), n.mutableChild(i+1, c)
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
-		right.items = append(right.items[:0], right.items[1:]...)
+		right.items = slices.Delete(right.items, 0, 1)
 		if !child.leaf() {
 			child.children = append(child.children, right.children[0])
-			right.children = append(right.children[:0], right.children[1:]...)
+			right.children = slices.Delete(right.children, 0, 1)
 		}
 	default:
 		// Merge with a sibling. The right node is discarded, so only the
@@ -322,8 +340,8 @@ func (n *node) ensureChild(i int, c *cowToken) {
 		child.items = append(child.items, n.items[i])
 		child.items = append(child.items, right.items...)
 		child.children = append(child.children, right.children...)
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		n.children = append(n.children[:i+1], n.children[i+2:]...)
+		n.items = slices.Delete(n.items, i, i+1)
+		n.children = slices.Delete(n.children, i+1, i+2)
 	}
 }
 

@@ -416,6 +416,48 @@ func TestQuickAscendMatchesSortedKeys(t *testing.T) {
 	}
 }
 
+// TestNoStaleSlotsPastLen checks that shrinking a node never leaves items or
+// child pointers in its backing array past len. A tree that is never cloned
+// owns its nodes for their whole life, so a stale slot would keep a deleted
+// value — and the row or subtree behind it — reachable indefinitely.
+func TestNoStaleSlotsPastLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var tr Tree
+	live := map[int]bool{}
+	for op := 0; op < 20000; op++ {
+		k := rng.Intn(4000)
+		key := []byte(fmt.Sprintf("key-%06d", k))
+		if rng.Intn(3) == 0 && len(live) > 0 {
+			tr.Delete(key)
+			delete(live, k)
+		} else {
+			tr.Set(key, op)
+			live[k] = true
+		}
+	}
+	if tr.Len() != len(live) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(live))
+	}
+	checkInvariants(t, &tr)
+	var walk func(n *node)
+	walk = func(n *node) {
+		for i, it := range n.items[len(n.items):cap(n.items)] {
+			if it.key != nil || it.value != nil {
+				t.Fatalf("items[%d] past len %d holds %q", len(n.items)+i, len(n.items), it.key)
+			}
+		}
+		for i, c := range n.children[len(n.children):cap(n.children)] {
+			if c != nil {
+				t.Fatalf("children[%d] past len %d is set", len(n.children)+i, len(n.children))
+			}
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+}
+
 func BenchmarkSet(b *testing.B) {
 	keys := make([][]byte, b.N)
 	for i := range keys {

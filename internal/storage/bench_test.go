@@ -42,6 +42,7 @@ func BenchmarkTxInsertParallel(b *testing.B) {
 	const tables = 8
 	e, names := benchEngine(b, tables)
 	var gid, rowid atomic.Int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		tbl := names[int(gid.Add(1))%tables]
@@ -63,6 +64,37 @@ func BenchmarkTxInsertParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSnapshotAfterWrite measures the reader side of on-demand
+// publishing: each iteration commits one insert (untimed) and then takes the
+// snapshot that must publish it — latching every table, cloning the written
+// one and reusing the kept views of the others.
+func BenchmarkSnapshotAfterWrite(b *testing.B) {
+	const tables = 8
+	e, names := benchEngine(b, tables)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tbl := names[i%tables]
+		tx, err := e.Begin(tbl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tx.Insert(tbl, Row{Int64(int64(i)), String("n")}); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		s, err := e.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
 }
 
 // BenchmarkGroupCommitFlushOn commits flush-on transactions from many

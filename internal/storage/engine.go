@@ -79,13 +79,16 @@ func (o Options) withDefaults() Options {
 // is amortized across concurrent commits by WAL group commit (see
 // wal.commitAppend).
 //
-// The read side is MVCC: every commit publishes an immutable copy-on-write
-// version of the tables it touched (see mvcc.go), and Snapshot() pins the
-// last published version without taking any latch. Readers — the query
-// paths, Bloom rebuilds and soft-state dumps — never contend with writers,
-// and Checkpoint and Vacuum do not stop the world: Checkpoint serializes a
-// pinned version while commits proceed, and Vacuum prunes one table under
-// its write latch only.
+// The read side is MVCC: a commit retires the published version, and the
+// first Snapshot() after it publishes an immutable copy-on-write version that
+// clones only the tables written since (see mvcc.go); a long batch publishes
+// as it commits. Snapshot() pins the published version without taking any
+// latch while no write is pending; when one is, it waits at most for a
+// batch in flight on a table written since. Readers — the query
+// paths, Bloom rebuilds and soft-state dumps — hold writers up for no longer
+// than a publish, and Checkpoint and Vacuum do not stop the world:
+// Checkpoint serializes a pinned version while commits proceed, and Vacuum
+// prunes one table under its write latch only.
 type Engine struct {
 	opts Options
 	dir  string // "" for memory-only
@@ -102,10 +105,14 @@ type Engine struct {
 	wal     *wal // internally synchronized; see wal.mu
 	closed  bool // guarded by global
 
-	// MVCC state (see mvcc.go). current is the last published version;
-	// pubMu orders publishes, pinMu guards the pin refcounts. closedFlag
-	// mirrors closed for the latch-free Snapshot path.
+	// MVCC state (see mvcc.go). current is the published version, nil when
+	// a write has retired it; epoch is the last published epoch. pubMu
+	// orders commits, which mark their tables stale and retire `current`
+	// under it, against publishes, which build a version under it; it also
+	// guards the tables' kept views. pinMu guards the pin refcounts.
+	// closedFlag mirrors closed for the latch-free Snapshot path.
 	current           atomic.Pointer[engineVersion]
+	epoch             atomic.Uint64
 	pubMu             sync.Mutex
 	pinMu             sync.Mutex
 	pins              map[uint64]pinEntry
@@ -147,7 +154,6 @@ func OpenMemory(opts Options) *Engine {
 		pins:   make(map[uint64]pinEntry),
 		queues: make(map[string]*updateQueue),
 	}
-	e.current.Store(&engineVersion{epoch: 1, taken: o.Clock.Now(), tables: map[string]tview{}})
 	e.flushOnCommit.Store(opts.FlushOnCommit)
 	e.startFlusher()
 	return e
@@ -171,7 +177,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		pins:   make(map[uint64]pinEntry),
 		queues: make(map[string]*updateQueue),
 	}
-	e.current.Store(&engineVersion{tables: map[string]tview{}})
 	if err := e.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -194,7 +199,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		_ = w.close() // the replay failure is the error that matters
 		return nil, err
 	}
-	e.publishAllLocked() // epoch 1: the recovered state
 	e.flushOnCommit.Store(opts.FlushOnCommit)
 	e.startFlusher()
 	return e, nil
@@ -309,10 +313,10 @@ var ErrNoSuchIndex = errors.New("storage: no such index")
 // ErrClosed is returned when using a closed engine.
 var ErrClosed = errors.New("storage: engine is closed")
 
-// ErrNotDurable wraps the error of a commit whose mutations were applied and
-// published — readers see them — but whose durability was not confirmed: the
-// WAL write or sync failed, or the committer's context ended while it waited
-// for the group-commit sync.
+// ErrNotDurable wraps the error of a commit whose mutations were applied —
+// readers see them — but whose durability was not confirmed: the WAL write
+// or sync failed, or the committer's context ended while it waited for the
+// group-commit sync.
 var ErrNotDurable = errors.New("storage: committed but durability not confirmed")
 
 // ErrTableNotDeclared is returned when a transaction touches a table it did
@@ -338,7 +342,7 @@ func (e *Engine) CreateTable(schema Schema) error {
 	t := newTable(e.nextTab, schema, e.opts.Device)
 	e.tables[schema.Name] = t
 	e.byID[t.id] = t
-	e.publish(map[string]tview{schema.Name: t.cloneView()})
+	e.current.Store(nil) // the new table starts stale: the next Snapshot sees it
 	frame := walEncode(walRecord{kind: recCreateTable, tableID: t.id, schema: schema})
 	if err := e.wal.append(frame); err != nil {
 		return err
@@ -438,11 +442,21 @@ func (e *Engine) Vacuum(tableName string) (reclaimed int64, err error) {
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, tableName)
 	}
 	t.lockLatch()
+	// Keep a view of the table before pruning, so readers that publish
+	// meanwhile need not wait out the scan.
+	e.pubMu.Lock()
+	e.publishLocked([]*table{t})
+	e.pubMu.Unlock()
 	heapSize := t.heap.Len()
 	reclaimed = t.vacuumLocked()
 	frame := walEncode(walRecord{kind: recVacuum, tableID: t.id})
 	err = e.wal.append(frame)
-	e.publish(map[string]tview{tableName: t.cloneView()})
+	if reclaimed > 0 {
+		e.pubMu.Lock()
+		t.markStale()
+		e.current.Store(nil)
+		e.pubMu.Unlock()
+	}
 	t.latch.Unlock()
 	e.global.RUnlock()
 	// Vacuum rewrites the heap: charge a scan of every page plus a sync.
@@ -624,7 +638,7 @@ func (e *Engine) replayWALFile(path string) error {
 // Checkpoint writes a snapshot of all tables and truncates the WAL, bounding
 // recovery time — without stopping the world. It takes the exclusive global
 // latch only long enough to wait out the in-flight group-commit batch,
-// capture the current published version, and rotate the live WAL aside; the
+// publish and capture the current version, and rotate the live WAL aside; the
 // snapshot file is then written from that pinned, immutable version while
 // writers commit into the fresh log. The rotated segment is deleted only
 // after the snapshot lands, so a crash at any point recovers: old snapshot +
@@ -643,10 +657,15 @@ func (e *Engine) Checkpoint() error {
 		return nil // memory engine: nothing to persist
 	}
 	e.wal.drain()
-	// Every commit publishes before releasing its latches while holding the
-	// shared global latch, so under the exclusive latch `current` covers
-	// exactly the rotated log's contents.
-	ev := e.current.Load()
+	// No commit is in flight under the exclusive latch, so the version
+	// published here covers exactly the rotated log's contents. Capturing
+	// `current` without publishing could miss commits no Snapshot followed,
+	// whose only durable copy is the segment deleted below.
+	all := make([]*table, 0, len(e.tables))
+	for _, t := range e.tables {
+		all = append(all, t)
+	}
+	ev := e.publishLocked(all)
 	e.pinVersion(ev)
 	e.ckptSeq++
 	seq := e.ckptSeq

@@ -55,7 +55,8 @@ func rowidKey(rowid int64) []byte {
 // table is the in-memory representation of one table. The mutable state (heap
 // and index trees) is copy-on-write: publishing a version clones every tree in
 // O(1) and later writes copy only the paths they touch, so published clones
-// stay frozen forever.
+// stay frozen forever. A table is cloned only when a version is published
+// after it changed; until it changes again every publish reuses that view.
 type table struct {
 	id     uint32
 	schema Schema
@@ -77,6 +78,14 @@ type table struct {
 	mutTrees []*btree.Tree // stable pointers at the live index trees
 	nextRow  int64
 	dead     int64 // tombstone count (postgres personality)
+
+	// pub is the view taken at the last publish that found the table
+	// changed; zero (stale) when the table has changed since. Dropping it at
+	// commit keeps a table that is written but never read from holding a
+	// second copy of every node its writes replace. Written under the table
+	// latch and Engine.pubMu (or the exclusive global latch), read under
+	// either.
+	pub tview
 }
 
 // tview is one table version: an immutable (heap, index trees, tombstone
@@ -96,7 +105,7 @@ func (t *table) mutView() tview {
 	return tview{t: t, heap: &t.heap, trees: t.mutTrees, dead: t.dead}
 }
 
-// cloneView publishes the current state as an immutable version: O(1) clones
+// cloneView freezes the current state as an immutable version: O(1) clones
 // of the heap and every index tree. Caller holds the table write latch (or
 // the exclusive global latch), so no mutation races the clone.
 func (t *table) cloneView() tview {
@@ -105,6 +114,23 @@ func (t *table) cloneView() tview {
 		trees[i] = ix.tree.Clone()
 	}
 	return tview{t: t, heap: t.heap.Clone(), trees: trees, dead: t.dead}
+}
+
+// markStale records a committed change: the next publish clones the table
+// again. Caller holds the table write latch and pubMu (or the exclusive
+// global latch).
+func (t *table) markStale() { t.pub = tview{} }
+
+// stale reports whether the table changed since its view was last kept.
+func (t *table) stale() bool { return t.pub.t == nil }
+
+// keepView clones a stale table into its kept view, for versions to
+// publish. Caller holds the table write latch and pubMu (or the exclusive
+// global latch).
+func (t *table) keepView() {
+	if t.stale() {
+		t.pub = t.cloneView()
+	}
 }
 
 // lockLatch write-acquires the table latch, recording wait telemetry only

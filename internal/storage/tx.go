@@ -33,9 +33,10 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &
 // Tx is a write transaction. It holds the shared global latch plus write
 // latches on the tables declared at Begin until Commit or Rollback;
 // mutations are applied eagerly (reads within the transaction see them) and
-// logged for rollback. Commit publishes a new immutable version of every
-// touched table before releasing the latches, so a Snapshot taken after
-// Commit returns always observes the transaction.
+// logged for rollback. Commit retires the published version before
+// releasing the latches, so a Snapshot taken after Commit returns observes
+// the transaction: it publishes a new version, or finds the one a long
+// transaction published as it committed.
 type Tx struct {
 	e       *Engine
 	tables  map[string]*table // declared (write-latched) tables by name
@@ -145,10 +146,11 @@ func (tx *Tx) ScanPrefix(tableName, indexName string, prefix []Value, fn func(ro
 // Commit durably applies the transaction per the engine flush policy and
 // releases the latches. The WAL append happens while the table latches are
 // still held — that keeps the log's order consistent with the commit order
-// on every table (replay correctness) — and so does the version publish, so
-// snapshot visibility follows commit order too. The device charges (write
-// cost and, under FlushOnCommit, the group-commit sync wait) are paid after
-// release, so they serialize on the device queue rather than on the tables.
+// on every table (replay correctness) — and so does retiring the published
+// version, so snapshot visibility follows commit order too. The device
+// charges (write cost and, under FlushOnCommit, the group-commit sync wait)
+// are paid after release, so they serialize on the device queue rather than
+// on the tables.
 func (tx *Tx) Commit() error {
 	return tx.CommitCtx(context.Background())
 }
@@ -177,10 +179,10 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 	return g.wait(ctx)
 }
 
-// commit logs, publishes and releases the transaction. It returns the
-// frame's size, for the caller to charge as a device write once it no
-// longer blocks anyone, and under FlushOnCommit the group-commit batch the
-// frame joined; when lead is true the caller must run that batch's sync
+// commit logs the transaction, retires the published version and releases
+// the latches. It returns the frame's size, for the caller to charge as a
+// device write once it no longer blocks anyone, and under FlushOnCommit the
+// group-commit batch the frame joined; when lead is true the caller must run that batch's sync
 // (wal.lead) before anyone can wait on it.
 func (tx *Tx) commit() (n int, g *groupSync, lead bool, err error) {
 	if tx.done {
@@ -206,18 +208,20 @@ func (tx *Tx) commit() (n int, g *groupSync, lead bool, err error) {
 	g, lead, err = tx.e.wal.commitAppend(frame, tx.e.flushOnCommit.Load())
 	*bp = frame
 	framePool.Put(bp)
-	// Publish a new immutable version of every touched table while the write
-	// latches are still held: per-table publish order matches commit order,
-	// and live state never diverges from the published state — even when the
-	// WAL append failed, the in-memory mutation is already applied.
-	updates := make(map[string]tview, len(tx.tables))
+	// Retire the published version while the write latches are still held:
+	// the next Snapshot publishes one that includes this commit — even when
+	// the WAL append failed, the in-memory mutation is already applied. A
+	// long batch publishes now (see publishBatchOps).
+	e := tx.e
+	e.pubMu.Lock()
 	for _, op := range tx.ops {
-		name := op.table.schema.Name
-		if _, done := updates[name]; !done {
-			updates[name] = op.table.cloneView()
-		}
+		op.table.markStale()
 	}
-	tx.e.publish(updates)
+	e.current.Store(nil)
+	if len(tx.ops) >= publishBatchOps {
+		e.publishLocked(tx.latched)
+	}
+	e.pubMu.Unlock()
 	tx.release()
 	if err != nil {
 		return 0, nil, false, fmt.Errorf("%w: %w", ErrNotDurable, err)
@@ -225,9 +229,9 @@ func (tx *Tx) commit() (n int, g *groupSync, lead bool, err error) {
 	return n, g, lead, nil
 }
 
-// Rollback undoes the transaction and releases the latches. Nothing is
-// published: the reversed mutations were never visible outside the
-// transaction.
+// Rollback undoes the transaction and releases the latches. The published
+// version stays current: the reversed mutations were never visible outside
+// the transaction.
 func (tx *Tx) Rollback() error {
 	if tx.update {
 		return errUpdateOwnsTx

@@ -16,11 +16,13 @@ import (
 // declared table set share the transaction. Callers queue on the set's
 // updateQueue; one that finds no leader leads. A leader takes everything
 // queued at that moment as one batch, opens one Tx, runs every closure
-// behind its own savepoint, and commits once — one WAL frame, one version
-// publish — then hands leadership to the head of the queue. There is no
-// batch-size or time knob: a batch is exactly what queued while the previous
-// batch ran, so a lone caller commits at once, and a batch grows only when
-// callers were already waiting on the latches it holds.
+// behind its own savepoint, and commits once — one WAL frame, one retired
+// version for the next Snapshot to republish (a long batch publishes it
+// itself, see publishBatchOps) — then hands leadership to the head of the
+// queue. There is no batch-size or time knob: a batch is exactly
+// what queued while the previous batch ran, so a lone caller commits at
+// once, and a batch grows only when callers were already waiting on the
+// latches it holds.
 
 // updateQueue serializes the batches of one declared table set.
 type updateQueue struct {
@@ -62,15 +64,16 @@ func (e *Engine) Update(ctx context.Context, tables []string, fn func(tx *Tx) er
 // one group-committed batch, and returns each call's error. A call that
 // fails leaves no trace; the others still commit.
 //
-// Callers return only after their batch is published, so a Snapshot taken
-// afterwards observes every successful call. Under FlushOnCommit each caller
-// then waits for the batch's group sync under its own ctx: if ctx ends first,
-// every call that succeeded reports ctx.Err() wrapped in ErrNotDurable
-// instead — never a false success. A ctx already done when the batch starts
+// Callers return only after their batch has committed and retired the
+// published version, so a Snapshot taken afterwards observes every
+// successful call. Under FlushOnCommit each caller then waits for the
+// batch's group sync under its own ctx: if ctx ends first, every call that
+// succeeded reports ctx.Err() wrapped in ErrNotDurable instead — never a
+// false success. A ctx already done when the batch starts
 // skips the caller's calls.
 //
 // fn must touch only the declared tables and must not Commit or Rollback the
-// transaction, nor call Update on the same engine.
+// transaction, nor call Update or Snapshot on the same engine.
 func (e *Engine) UpdateEach(ctx context.Context, tables []string, n int, fn func(tx *Tx, i int) error) []error {
 	errs := make([]error, n)
 	if n == 0 {
